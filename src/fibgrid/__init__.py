@@ -7,16 +7,7 @@ elimination, and sweeps the identities and open conjectures that the
 nullity sequence satisfies.
 """
 
-from .conjectures import (
-    DEFAULT_DEGREE_CAP,
-    ConjectureCase,
-    ConjectureReport,
-    check_all2,
-    check_equivalence,
-    check_powers,
-    to_csv,
-    to_table,
-)
+from .checks import DEFAULT_DEGREE_CAP, SWEEPS, Case, Report, to_text
 from .fibpoly import (
     divisibility_index,
     fib_binomial,
@@ -24,18 +15,15 @@ from .fibpoly import (
     fib_recursive,
     fib_sequence,
 )
-from .grid import GridSystem, LightState, StateFormatError, build_system
+from .grid import GridSystem, LightState, StateFormatError
 from .nullity import (
-    CheckResult,
     NullityRecord,
-    RecurrenceReport,
     d_of_n,
     delta_closed_form,
     delta_via_gcd,
     format_csv,
     nullity_record,
     table,
-    verify_recurrence,
 )
 from .polygf2 import (
     ONE,
@@ -78,21 +66,14 @@ __all__ = [
     "nullity_record",
     "table",
     "format_csv",
-    "CheckResult",
-    "RecurrenceReport",
-    "verify_recurrence",
     "LightState",
     "GridSystem",
-    "build_system",
     "StateFormatError",
-    "ConjectureCase",
-    "ConjectureReport",
+    "Case",
+    "Report",
     "DEFAULT_DEGREE_CAP",
-    "check_all2",
-    "check_powers",
-    "check_equivalence",
-    "to_csv",
-    "to_table",
+    "SWEEPS",
+    "to_text",
     "SierpinskiRaster",
     "render",
     "to_pbm",

@@ -1,0 +1,278 @@
+"""Verification sweeps: every identity and conjecture check, under one registry.
+
+Everything here is empirical: a report claims "verified for the tested
+range" and never more.  Each sweep takes its bounds as keyword arguments,
+with the documented defaults in its signature, and returns a list of
+Reports.  SWEEPS maps the CLI name of each sweep to its function, in the
+order `verify all` runs them.
+
+Two kinds of report share one type.  A conjecture check (scope None) keeps
+every case and renders as a per-case table.  A range sweep sets scope to a
+summary of what it covered, stops at its first failing case, and renders as
+one line.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+from dataclasses import dataclass
+
+from .fibpoly import fib_hmp
+from .grid import GridSystem
+from .nullity import _d_and_delta, d_of_n, delta_closed_form, delta_via_gcd
+from .polygf2 import PolyGF2, gcd, ore_product_gcd
+
+__all__ = [
+    "DEFAULT_DEGREE_CAP",
+    "Case",
+    "Report",
+    "SWEEPS",
+    "to_text",
+]
+
+DEFAULT_DEGREE_CAP = 200_000
+
+
+@dataclass(frozen=True)
+class Case:
+    """One tested instance; params is a semicolon-joined key=value string."""
+
+    params: str
+    expected: int | PolyGF2
+    computed: int | PolyGF2
+
+    @property
+    def verdict(self) -> str:
+        return "pass" if self.expected == self.computed else "fail"
+
+
+@dataclass(frozen=True)
+class Report:
+    """Cases of one named check; scope is the summary line of a range sweep."""
+
+    name: str
+    cases: tuple[Case, ...]
+    scope: str | None = None
+
+    @property
+    def overall(self) -> str:
+        """pass when every case passes, fail when every case fails, else partial."""
+        if all(c.verdict == "pass" for c in self.cases):
+            return "pass"
+        if all(c.verdict == "fail" for c in self.cases):
+            return "fail"
+        return "partial"
+
+    @property
+    def first_failure(self) -> Case | None:
+        return next((c for c in self.cases if c.verdict == "fail"), None)
+
+
+def _require(name: str, value: int, minimum: int = 1) -> None:
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+
+
+def _sweep(name: str, scope: str, triples) -> Report:
+    """Range sweep over (params, expected, computed) triples, up to the first failure."""
+    cases = []
+    for triple in triples:
+        cases.append(Case(*triple))
+        if cases[-1].verdict == "fail":
+            break
+    return Report(name, tuple(cases), scope)
+
+
+# -- range sweeps ----------------------------------------------------------------
+
+
+def recurrence(*, nmax: int = 5000) -> list[Report]:
+    """The doubling identities, with d and delta both from the GCD route.
+
+    double-d      d(2n+1) == 2 d(n) + delta(n)   for n = 1..nmax
+    double-delta  delta(2n+1) == delta(n)        for n = 1..nmax
+    quad-d        d(4n+3) == 4 d(n) + 3 delta(n) for n = 1..nmax // 2
+    delta-range   delta(n) in {0, 2}             for every index visited
+    """
+    _require("nmax", nmax)
+    cache: dict[int, tuple[int, int]] = {}
+
+    def vals(n: int) -> tuple[int, int]:
+        got = cache.get(n)
+        if got is None:
+            got = cache[n] = _d_and_delta(n)
+        return got
+
+    def double_d(n: int) -> tuple[str, int, int]:
+        d1, e1 = vals(n)
+        return f"n={n}", 2 * d1 + e1, vals(2 * n + 1)[0]
+
+    def double_delta(n: int) -> tuple[str, int, int]:
+        return f"n={n}", vals(n)[1], vals(2 * n + 1)[1]
+
+    def quad_d(n: int) -> tuple[str, int, int]:
+        d1, e1 = vals(n)
+        return f"n={n}", 4 * d1 + 3 * e1, vals(4 * n + 3)[0]
+
+    quad_max = nmax // 2
+    reports = [
+        _sweep("recurrence double-d", f"{nmax} checked", map(double_d, range(1, nmax + 1))),
+        _sweep("recurrence double-delta", f"{nmax} checked", map(double_delta, range(1, nmax + 1))),
+        _sweep("recurrence quad-d", f"{quad_max} checked", map(quad_d, range(1, quad_max + 1))),
+    ]
+    # a delta outside {0, 2} is reported against 0
+    in_range = ((f"n={n}", e if e in (0, 2) else 0, e) for n, (_, e) in sorted(cache.items()))
+    reports.append(_sweep("recurrence delta-range", f"{len(cache)} checked", in_range))
+    return reports
+
+
+def delta(*, nmax: int = 2000) -> list[Report]:
+    """delta_n from its GCD form against the mod-3 closed form, n = 1..nmax."""
+    _require("nmax", nmax)
+    triples = ((f"n={n}", delta_closed_form(n), delta_via_gcd(n)) for n in range(1, nmax + 1))
+    return [_sweep("delta", f"two routes agree for n=1..{nmax}", triples)]
+
+
+def hmp_gcd(*, nmax: int = 2000, trials: int = 1000, seed: int = 1) -> list[Report]:
+    """gcd(f_m, f_n) == f_gcd(m,n) on random index pairs m, n in 1..nmax."""
+    _require("nmax", nmax)
+    _require("trials", trials)
+    rng = random.Random(seed)
+
+    def trial() -> tuple[str, PolyGF2, PolyGF2]:
+        m = rng.randint(1, nmax)
+        n = rng.randint(1, nmax)
+        return f"m={m};n={n}", fib_hmp(math.gcd(m, n)), gcd(fib_hmp(m), fib_hmp(n))
+
+    triples = (trial() for _ in range(trials))
+    return [_sweep("hmp-gcd", f"{trials} random pairs <= {nmax}, seed {seed}", triples)]
+
+
+def ore(*, trials: int = 10000, seed: int = 1) -> list[Report]:
+    """The factored product GCD against gcd(ab, cd) on random quartets, degrees <= 256."""
+    _require("trials", trials)
+    rng = random.Random(seed)
+
+    def poly() -> PolyGF2:
+        d = rng.randint(0, 256)
+        return PolyGF2(rng.getrandbits(d) | (1 << d))
+
+    def trial() -> tuple[str, PolyGF2, PolyGF2]:
+        a, b, c, d = poly(), poly(), poly(), poly()
+        params = f"a={a.to_hex()};b={b.to_hex()};c={c.to_hex()};d={d.to_hex()}"
+        return params, gcd(a * b, c * d), ore_product_gcd(a, b, c, d)
+
+    triples = (trial() for _ in range(trials))
+    return [_sweep("ore", f"{trials} random quartets, degrees <= 256, seed {seed}", triples)]
+
+
+def oracle(*, nmax: int = 64) -> list[Report]:
+    """d_n by the GCD route against elimination nullity, n = 1..nmax."""
+    _require("nmax", nmax)
+    triples = ((f"n={n}", GridSystem(n).nullity(), d_of_n(n)) for n in range(1, nmax + 1))
+    return [_sweep("oracle", f"gcd route matches elimination for n=1..{nmax}", triples)]
+
+
+# -- conjecture checks -----------------------------------------------------------
+
+
+def all2(*, kmax: int = 8) -> list[Report]:
+    """d at n = 2*3^k - 1 should always be 2; tested for k = 1..kmax."""
+    _require("kmax", kmax)
+    cases = []
+    power = 1
+    for k in range(1, kmax + 1):
+        power *= 3
+        n = 2 * power - 1
+        cases.append(Case(f"k={k};n={n}", 2, d_of_n(n)))
+    return [Report("all2", tuple(cases))]
+
+
+def powers(
+    *, amax: int = 51, kmax: int = 17, degree_cap: int = DEFAULT_DEGREE_CAP
+) -> list[Report]:
+    """d(a^k - 1) should equal d(a - 1) for odd a with 21 not dividing a.
+
+    Tests every odd a in 3..amax outside the excluded residues and every
+    k in 1..kmax with a^k <= degree_cap; excluded a contribute no cases.
+    """
+    _require("amax", amax, 3)
+    _require("kmax", kmax)
+    _require("degree_cap", degree_cap, 3)
+    cases = []
+    for a in range(3, amax + 1, 2):
+        if a % 21 == 0:
+            continue  # outside the conjecture's hypothesis
+        base = d_of_n(a - 1)
+        power = 1
+        for k in range(1, kmax + 1):
+            power *= a
+            if power > degree_cap:
+                break
+            cases.append(Case(f"a={a};k={k};n={power - 1}", base, d_of_n(power - 1)))
+    return [Report("powers", tuple(cases))]
+
+
+def equivalence(*, kmax: int = 8) -> list[Report]:
+    """Linkage at a = 3: d(2*3^k - 1) = 2 d(3^k - 1) + delta(3^k - 1), delta being 2.
+
+    Each k contributes a "link" case comparing the measured d(2*3^k - 1)
+    against the combination, and a "delta" case pinning delta(3^k - 1) = 2.
+    """
+    _require("kmax", kmax)
+    cases = []
+    power = 1
+    for k in range(1, kmax + 1):
+        power *= 3
+        m = power - 1
+        dm = d_of_n(m)
+        em = delta_via_gcd(m)
+        lhs = d_of_n(2 * power - 1)
+        cases.append(Case(f"k={k};part=link", 2 * dm + em, lhs))
+        cases.append(Case(f"k={k};part=delta", 2, em))
+    return [Report("equivalence", tuple(cases))]
+
+
+SWEEPS = {
+    "recurrence": recurrence,
+    "delta": delta,
+    "hmp-gcd": hmp_gcd,
+    "ore": ore,
+    "oracle": oracle,
+    "all2": all2,
+    "powers": powers,
+    "equivalence": equivalence,
+}
+
+
+# -- rendering -------------------------------------------------------------------
+
+
+def _value(v: int | PolyGF2) -> str:
+    return v.to_hex() if isinstance(v, PolyGF2) else str(v)
+
+
+def to_text(report: Report) -> str:
+    """Human-readable report: one line for a range sweep, a per-case table otherwise."""
+    if report.scope is not None:
+        bad = report.first_failure
+        if bad is None:
+            return f"{report.name}: ok ({report.scope})\n"
+        return (
+            f"{report.name}: FAIL at {bad.params}, "
+            f"expected {_value(bad.expected)}, got {_value(bad.computed)}\n"
+        )
+    width = max(len(c.params) for c in report.cases)
+    lines = [f"== {report.name} =="]
+    for case in report.cases:
+        lines.append(
+            f"  {case.params:<{width}}  expected={case.expected:<4} "
+            f"computed={case.computed:<4} {case.verdict}"
+        )
+    if report.overall == "pass":
+        lines.append(f"result: pass, verified for the tested range ({len(report.cases)} cases)")
+    else:
+        failed = sum(1 for c in report.cases if c.verdict == "fail")
+        lines.append(f"result: {report.overall} ({failed} of {len(report.cases)} cases failed)")
+    return "\n".join(lines) + "\n"

@@ -9,21 +9,14 @@ sweeps take an explicit seed with a fixed default.
 from __future__ import annotations
 
 import argparse
-import math
-import random
+import inspect
 import sys
 
-from .conjectures import (
-    DEFAULT_DEGREE_CAP,
-    check_all2,
-    check_equivalence,
-    check_powers,
-    to_table,
-)
+from .checks import SWEEPS, to_text
 from .fibpoly import fib_binomial, fib_hmp, fib_recursive
 from .grid import GridSystem, LightState, StateFormatError
-from .nullity import d_of_n, delta_closed_form, delta_via_gcd, format_csv, table, verify_recurrence
-from .polygf2 import PolyGF2, gcd, ore_product_gcd
+from .nullity import d_of_n, delta_closed_form, format_csv, table
+from .polygf2 import PolyGF2
 from .sierpinski import render, to_ascii, to_pbm
 
 EXIT_OK = 0
@@ -37,7 +30,7 @@ def _decimal(minimum: int):
     """argparse type for a plain decimal integer with a lower bound."""
 
     def convert(text: str) -> int:
-        if not text.isdigit():
+        if not (text.isascii() and text.isdigit()):
             raise argparse.ArgumentTypeError(f"{text!r} is not a decimal integer")
         value = int(text)
         if value < minimum:
@@ -98,7 +91,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
         state = LightState.all_on(args.n)
     else:
         try:
-            with open(args.state, "r", encoding="ascii") as fh:
+            # latin-1 maps every byte to one character, so a stray byte is
+            # reported by from_text with its position instead of failing to decode
+            with open(args.state, "r", encoding="latin-1") as fh:
                 text = fh.read()
         except OSError as exc:
             print(f"solve: cannot read {args.state}: {exc}", file=sys.stderr)
@@ -148,113 +143,17 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 # -- verification sweeps -------------------------------------------------------
 
-_VERIFY_NMAX = {"recurrence": 5000, "delta": 2000, "hmp-gcd": 2000, "oracle": 64}
-_VERIFY_TRIALS = {"hmp-gcd": 1000, "ore": 10000}
-_VERIFY_KMAX = {"all2": 8, "powers": 17, "equivalence": 8}
-
-
-def _run_recurrence(args: argparse.Namespace) -> tuple[bool, list[str]]:
-    nmax = args.nmax or _VERIFY_NMAX["recurrence"]
-    report = verify_recurrence(nmax)
-    lines = []
-    for chk in report.checks:
-        if chk.ok:
-            lines.append(f"recurrence {chk.name}: ok ({chk.checked} checked)")
-        else:
-            n, want, got = chk.first_failure
-            lines.append(f"recurrence {chk.name}: FAIL at n={n}, expected {want}, got {got}")
-    return report.ok, lines
-
-
-def _run_delta(args: argparse.Namespace) -> tuple[bool, list[str]]:
-    nmax = args.nmax or _VERIFY_NMAX["delta"]
-    for n in range(1, nmax + 1):
-        want = delta_closed_form(n)
-        got = delta_via_gcd(n)
-        if want != got:
-            return False, [f"delta: FAIL at n={n}, closed form {want}, gcd form {got}"]
-    return True, [f"delta: ok (two routes agree for n=1..{nmax})"]
-
-
-def _run_hmp_gcd(args: argparse.Namespace) -> tuple[bool, list[str]]:
-    bound = args.nmax or _VERIFY_NMAX["hmp-gcd"]
-    trials = args.trials or _VERIFY_TRIALS["hmp-gcd"]
-    rng = random.Random(args.seed)
-    for _ in range(trials):
-        m = rng.randint(1, bound)
-        n = rng.randint(1, bound)
-        got = gcd(fib_hmp(m), fib_hmp(n))
-        want = fib_hmp(math.gcd(m, n))
-        if got != want:
-            return False, [f"hmp-gcd: FAIL at m={m}, n={n}"]
-    return True, [f"hmp-gcd: ok ({trials} random pairs <= {bound}, seed {args.seed})"]
-
-
-def _random_poly(rng: random.Random, max_degree: int) -> PolyGF2:
-    d = rng.randint(0, max_degree)
-    return PolyGF2(rng.getrandbits(d) | (1 << d))
-
-
-def _run_ore(args: argparse.Namespace) -> tuple[bool, list[str]]:
-    trials = args.trials or _VERIFY_TRIALS["ore"]
-    rng = random.Random(args.seed)
-    for _ in range(trials):
-        a, b, c, d = (_random_poly(rng, 256) for _ in range(4))
-        if ore_product_gcd(a, b, c, d) != gcd(a * b, c * d):
-            return False, [
-                "ore: FAIL for "
-                f"a={a.to_hex()} b={b.to_hex()} c={c.to_hex()} d={d.to_hex()}"
-            ]
-    return True, [f"ore: ok ({trials} random quartets, degrees <= 256, seed {args.seed})"]
-
-
-def _run_oracle(args: argparse.Namespace) -> tuple[bool, list[str]]:
-    nmax = args.nmax or _VERIFY_NMAX["oracle"]
-    for n in range(1, nmax + 1):
-        want = GridSystem(n).nullity()
-        got = d_of_n(n)
-        if want != got:
-            return False, [f"oracle: FAIL at n={n}, elimination {want}, gcd route {got}"]
-    return True, [f"oracle: ok (gcd route matches elimination for n=1..{nmax})"]
-
-
-def _run_all2(args: argparse.Namespace) -> tuple[bool, list[str]]:
-    report = check_all2(args.kmax or _VERIFY_KMAX["all2"])
-    return report.overall == "pass", to_table(report).splitlines()
-
-
-def _run_powers(args: argparse.Namespace) -> tuple[bool, list[str]]:
-    report = check_powers(
-        args.amax or 51, args.kmax or _VERIFY_KMAX["powers"], args.degree_cap
-    )
-    return report.overall == "pass", to_table(report).splitlines()
-
-
-def _run_equivalence(args: argparse.Namespace) -> tuple[bool, list[str]]:
-    report = check_equivalence(args.kmax or _VERIFY_KMAX["equivalence"])
-    return report.overall == "pass", to_table(report).splitlines()
-
-
-_VERIFY_RUNNERS = {
-    "recurrence": _run_recurrence,
-    "delta": _run_delta,
-    "hmp-gcd": _run_hmp_gcd,
-    "ore": _run_ore,
-    "oracle": _run_oracle,
-    "all2": _run_all2,
-    "powers": _run_powers,
-    "equivalence": _run_equivalence,
-}
-
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    names = list(_VERIFY_RUNNERS) if args.name == "all" else [args.name]
+    names = list(SWEEPS) if args.name == "all" else [args.name]
     all_ok = True
     for name in names:
-        ok, lines = _VERIFY_RUNNERS[name](args)
-        all_ok &= ok
-        for line in lines:
-            print(line)
+        sweep = SWEEPS[name]
+        accepted = inspect.signature(sweep).parameters
+        bounds = {k: v for k, v in vars(args).items() if k in accepted and v is not None}
+        for report in sweep(**bounds):
+            all_ok &= report.first_failure is None
+            sys.stdout.write(to_text(report))
     if len(names) > 1:
         print(f"verify: {'all checks passed' if all_ok else 'FAILURES above'}")
     return EXIT_OK if all_ok else EXIT_FAIL
@@ -291,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="run one named verification sweep, or all")
-    p.add_argument("name", choices=sorted(_VERIFY_RUNNERS) + ["all"])
+    p.add_argument("name", choices=sorted(SWEEPS) + ["all"])
     p.add_argument("--nmax", type=_decimal(1), help="sweep bound where applicable")
     p.add_argument("--trials", type=_decimal(1), help="random trial count where applicable")
     p.add_argument("--kmax", type=_decimal(1), help="exponent bound where applicable")
@@ -299,10 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--degree-cap",
         type=_decimal(3),
-        default=DEFAULT_DEGREE_CAP,
         help="skip power cases with a^k beyond this degree",
     )
-    p.add_argument("--seed", type=int, default=1, help="seed for the random sweeps")
+    p.add_argument("--seed", type=int, help="seed for the random sweeps")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("solve", help="press pattern turning a board all-off")

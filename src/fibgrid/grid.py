@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["LightState", "GridSystem", "build_system", "StateFormatError"]
+__all__ = ["LightState", "GridSystem", "StateFormatError"]
 
 
 class StateFormatError(ValueError):
@@ -54,7 +54,7 @@ class LightState:
         if not lines or not lines[0].strip():
             raise StateFormatError("missing side-length line", 1, 1)
         head = lines[0].strip()
-        if not head.isdigit():
+        if not (head.isascii() and head.isdigit()):
             raise StateFormatError("side length must be a decimal integer", 1, 1)
         n = int(head)
         if n < 1:
@@ -98,9 +98,9 @@ class GridSystem:
     """Toggle matrix of the n x n grid with elimination-backed queries.
 
     Row v has bits at v and at each in-bounds orthogonal neighbor of v.
-    Elimination runs once on first demand and caches pivot rows augmented
-    with combination tracking; first use is therefore not safe to race
-    across threads, but distinct instances are independent.
+    Elimination runs once, in the constructor, and keeps pivot rows augmented
+    with combination tracking; nothing changes afterwards, so one instance
+    is safe to share across threads.
     """
 
     def __init__(self, n: int):
@@ -124,21 +124,20 @@ class GridSystem:
                     bits |= 1 << (v + 1)
                 rows.append(bits)
         self._rows = rows
-        self._pivots: dict[int, int] | None = None
-        self._pivot_cols: list[int] | None = None
+        self._pivots = self._eliminate()
+        self._pivot_cols = sorted(self._pivots)
 
     def row_bits(self, v: int) -> int:
         """Matrix row for pressing cell v, as a column bitset."""
         return self._rows[v]
 
-    def _eliminate(self) -> None:
+    def _eliminate(self) -> dict[int, int]:
         """Forward elimination, pivoting on each row's lowest set bit.
 
-        Pivot rows carry the identity augmentation in bits above size, so
-        each reduced row remembers which original presses combined into it.
+        Returns the pivot rows by pivot column.  They carry the identity
+        augmentation in bits above size, so each reduced row remembers which
+        original presses combined into it.
         """
-        if self._pivots is not None:
-            return
         size = self.size
         mask = self._mask
         pivots: dict[int, int] = {}
@@ -151,11 +150,9 @@ class GridSystem:
                     pivots[p] = r
                     break
                 r ^= piv
-        self._pivots = pivots
-        self._pivot_cols = sorted(pivots)
+        return pivots
 
     def rank(self) -> int:
-        self._eliminate()
         return len(self._pivots)
 
     def nullity(self) -> int:
@@ -182,7 +179,6 @@ class GridSystem:
 
     def kernel_basis(self) -> tuple[LightState, ...]:
         """One kernel vector per free column: that column set, pivots back-substituted."""
-        self._eliminate()
         pivot_set = self._pivots.keys()
         basis = []
         for f in range(self.size):
@@ -214,7 +210,6 @@ class GridSystem:
         """
         if state.n != self.n:
             raise ValueError("state side length does not match the system")
-        self._eliminate()
         x = self._back_substitute(0, state.bits)
         candidate = LightState(self.n, x)
         if self.apply(candidate).bits != state.bits:
@@ -227,7 +222,3 @@ class GridSystem:
             raise ValueError("state is not solvable")
         return 1 << self.nullity()
 
-
-def build_system(n: int) -> GridSystem:
-    """Toggle system for the n x n grid."""
-    return GridSystem(n)

@@ -5,7 +5,7 @@ d_n = deg gcd(f_{n+1}(x), f_{n+1}(x+1)) over GF(2), so the whole table
 reduces to one GCD per side length.  The correction term
 delta_n = d_{2n+1} - 2 d_n is always 0 or 2 and has both a closed form
 (2 exactly when 3 | n+1) and a direct GCD form; both are provided, and
-verify_recurrence sweeps the identities that tie everything together.
+the sweeps in checks tie everything together.
 """
 
 from __future__ import annotations
@@ -24,9 +24,6 @@ __all__ = [
     "nullity_record",
     "table",
     "format_csv",
-    "CheckResult",
-    "RecurrenceReport",
-    "verify_recurrence",
 ]
 
 
@@ -93,93 +90,3 @@ def format_csv(records: Iterable[NullityRecord]) -> str:
     lines = ["n,d,delta"]
     lines.extend(f"{r.n},{r.d},{r.delta}" for r in records)
     return "\n".join(lines) + "\n"
-
-
-# -- recurrence verification ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """Outcome of one identity sweep.
-
-    first_failure is None when every index passed, else the smallest failing
-    (n, expected, got) triple.
-    """
-
-    name: str
-    checked: int
-    first_failure: tuple[int, int, int] | None
-
-    @property
-    def ok(self) -> bool:
-        return self.first_failure is None
-
-
-@dataclass(frozen=True)
-class RecurrenceReport:
-    """All sweep outcomes for one verify_recurrence run."""
-
-    n_max: int
-    quad_max: int
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-
-def verify_recurrence(n_max: int, quad_max: int | None = None) -> RecurrenceReport:
-    """Sweep the doubling identities, with d and delta both from the GCD route.
-
-    Checks:
-      double-d      d(2n+1) == 2 d(n) + delta(n)   for n = 1..n_max
-      double-delta  delta(2n+1) == delta(n)        for n = 1..n_max
-      quad-d        d(4n+3) == 4 d(n) + 3 delta(n) for n = 1..quad_max
-      delta-range   delta(n) in {0, 2}             for every index visited
-
-    quad_max defaults to n_max // 2.  Results are fully deterministic and
-    keep the first counterexample per check.
-    """
-    _require_side(n_max)
-    if quad_max is None:
-        quad_max = n_max // 2
-    if quad_max < 0 or quad_max > n_max:
-        raise ValueError("quad_max must be between 0 and n_max")
-
-    cache: dict[int, tuple[int, int]] = {}
-
-    def vals(n: int) -> tuple[int, int]:
-        got = cache.get(n)
-        if got is None:
-            got = cache[n] = _d_and_delta(n)
-        return got
-
-    fail_dd: tuple[int, int, int] | None = None
-    fail_de: tuple[int, int, int] | None = None
-    fail_q: tuple[int, int, int] | None = None
-    fail_r: tuple[int, int, int] | None = None
-
-    for n in range(1, n_max + 1):
-        d1, e1 = vals(n)
-        d2, e2 = vals(2 * n + 1)
-        if fail_dd is None and d2 != 2 * d1 + e1:
-            fail_dd = (n, 2 * d1 + e1, d2)
-        if fail_de is None and e2 != e1:
-            fail_de = (n, e1, e2)
-    for n in range(1, quad_max + 1):
-        d1, e1 = vals(n)
-        d4 = vals(4 * n + 3)[0]
-        if fail_q is None and d4 != 4 * d1 + 3 * e1:
-            fail_q = (n, 4 * d1 + 3 * e1, d4)
-    for n in sorted(cache):
-        e = cache[n][1]
-        if fail_r is None and e not in (0, 2):
-            fail_r = (n, 0, e)
-
-    checks = (
-        CheckResult("double-d", n_max, fail_dd),
-        CheckResult("double-delta", n_max, fail_de),
-        CheckResult("quad-d", quad_max, fail_q),
-        CheckResult("delta-range", len(cache), fail_r),
-    )
-    return RecurrenceReport(n_max, quad_max, checks)

@@ -178,7 +178,7 @@ class PolyGF2:
                 bit = 1
             elif term == "x":
                 bit = 2
-            elif term.startswith("x^") and term[2:].isdigit():
+            elif term.startswith("x^") and term[2:].isascii() and term[2:].isdigit():
                 bit = 1 << int(term[2:])
             else:
                 raise ValueError(f"bad term {term!r}")

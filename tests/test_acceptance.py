@@ -8,39 +8,37 @@ with wall-clock budgets assert them directly.
 
 from __future__ import annotations
 
-import random
 import resource
 import time
-from math import comb, gcd as int_gcd
+from math import comb
 from pathlib import Path
 
 from fibgrid import (
     LightState,
-    PolyGF2,
-    check_all2,
-    check_powers,
     d_of_n,
-    delta_closed_form,
-    delta_via_gcd,
     fib_binomial,
     fib_hmp,
     fib_sequence,
-    gcd,
-    ore_product_gcd,
     render,
     to_pbm,
-    to_table,
-    verify_recurrence,
+    to_text,
 )
+from fibgrid.checks import all2, delta, hmp_gcd, oracle, ore, powers, recurrence
 from fibgrid.cli import main
 
 DATA = Path(__file__).parent / "data"
 
 
-def test_c01_gcd_route_matches_elimination_to_64(grid_cache):
+def _passes(report):
+    """Assert a range sweep passed every case it was given, and report nothing else."""
+    assert report.first_failure is None, to_text(report)
+    return len(report.cases)
+
+
+def test_c01_gcd_route_matches_elimination_to_64():
     start = time.perf_counter()
-    for n in range(1, 65):
-        assert d_of_n(n) == grid_cache(n).nullity(), f"n={n}"
+    (report,) = oracle(nmax=64)
+    assert _passes(report) == 64
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     print(f"\ncriterion 1: PASS gcd nullity equals elimination nullity, n=1..64 ({elapsed:.1f}s)")
@@ -48,11 +46,11 @@ def test_c01_gcd_route_matches_elimination_to_64(grid_cache):
 
 def test_c02_doubling_identities_to_5000():
     start = time.perf_counter()
-    report = verify_recurrence(5000)
+    double_d, double_delta, quad_d, delta_range = recurrence(nmax=5000)
     elapsed = time.perf_counter() - start
-    assert report.quad_max == 2500
-    for chk in report.checks:
-        assert chk.ok, f"{chk.name} fails first at {chk.first_failure}"
+    assert _passes(double_d) == _passes(double_delta) == 5000
+    assert _passes(quad_d) == 2500
+    assert _passes(delta_range) >= 5000
     assert elapsed < 300.0
     print(
         "criterion 2: PASS d(2n+1)=2d(n)+delta, delta(2n+1)=delta(n), "
@@ -61,8 +59,8 @@ def test_c02_doubling_identities_to_5000():
 
 
 def test_c03_delta_routes_agree_to_2000():
-    for n in range(1, 2001):
-        assert delta_via_gcd(n) == delta_closed_form(n), f"n={n}"
+    (report,) = delta(nmax=2000)
+    assert _passes(report) == 2000
     print("criterion 3: PASS delta gcd form equals closed form, n=1..2000")
 
 
@@ -74,17 +72,17 @@ def test_c04_power_of_two_sides_are_invertible():
 
 
 def test_c05_all2_conjecture_through_k8():
-    report = check_all2(8)
+    (report,) = all2(kmax=8)
     assert report.overall == "pass"
     assert len(report.cases) == 8
-    text = to_table(report)
+    text = to_text(report)
     assert "verified for the tested range" in text
     assert "proven" not in text
     print("criterion 5: PASS d(2*3^k - 1) = 2 for k=1..8 (reported as range-verified)")
 
 
 def test_c06_power_conjecture_under_degree_cap():
-    report = check_powers(51, 32, degree_cap=200_000)
+    (report,) = powers(amax=51, kmax=32, degree_cap=200_000)
     assert report.overall == "pass"
     params = [c.params for c in report.cases]
     assert "a=3;k=11;n=177146" in params  # largest base-3 case under the cap
@@ -96,24 +94,14 @@ def test_c06_power_conjecture_under_degree_cap():
 
 
 def test_c07_family_gcd_law_random_pairs():
-    rng = random.Random(7)
-    for _ in range(1000):
-        m = rng.randint(1, 2000)
-        n = rng.randint(1, 2000)
-        assert gcd(fib_hmp(m), fib_hmp(n)) == fib_hmp(int_gcd(m, n)), f"m={m}, n={n}"
+    (report,) = hmp_gcd(nmax=2000, trials=1000, seed=7)
+    assert _passes(report) == 1000
     print("criterion 7: PASS gcd(f_m, f_n) = f_gcd(m,n) on 1000 random pairs, m,n <= 2000")
 
 
 def test_c08_factored_gcd_random_quartets():
-    rng = random.Random(8)
-
-    def poly():
-        d = rng.randint(0, 256)
-        return PolyGF2(rng.getrandbits(d) | (1 << d))
-
-    for _ in range(10_000):
-        a, b, c, d = poly(), poly(), poly(), poly()
-        assert ore_product_gcd(a, b, c, d) == gcd(a * b, c * d)
+    (report,) = ore(trials=10_000, seed=8)
+    assert _passes(report) == 10_000
     print("criterion 8: PASS factored gcd equals direct gcd on 10000 quartets, deg <= 256")
 
 

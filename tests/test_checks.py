@@ -1,0 +1,57 @@
+"""The sweep registry: signatures, bound validation, and the range-sweep contract."""
+
+from __future__ import annotations
+
+import inspect
+
+import pytest
+
+from fibgrid import SWEEPS, checks
+from fibgrid.cli import build_parser
+
+# each sweep's bounds, by keyword, with the defaults documented in the README
+DEFAULTS = {
+    "recurrence": {"nmax": 5000},
+    "delta": {"nmax": 2000},
+    "hmp-gcd": {"nmax": 2000, "trials": 1000, "seed": 1},
+    "ore": {"trials": 10000, "seed": 1},
+    "oracle": {"nmax": 64},
+    "all2": {"kmax": 8},
+    "powers": {"amax": 51, "kmax": 17, "degree_cap": 200_000},
+    "equivalence": {"kmax": 8},
+}
+
+
+def test_registry_signatures():
+    assert list(SWEEPS) == list(DEFAULTS)
+    verify = build_parser().parse_args(["verify", "all"])
+    for name, sweep in SWEEPS.items():
+        params = inspect.signature(sweep).parameters.values()
+        assert all(p.kind is p.KEYWORD_ONLY for p in params), name
+        assert {p.name: p.default for p in params} == DEFAULTS[name]
+        # every bound is reachable from the command line, unset by default
+        assert all(getattr(verify, p.name) is None for p in params), name
+
+
+@pytest.mark.parametrize(
+    "name,bounds",
+    [
+        ("delta", {"nmax": 0}),
+        ("hmp-gcd", {"nmax": 0}),
+        ("hmp-gcd", {"trials": 0}),
+        ("ore", {"trials": 0}),
+        ("oracle", {"nmax": 0}),
+    ],
+)
+def test_empty_ranges_are_refused(name, bounds):
+    with pytest.raises(ValueError):
+        SWEEPS[name](**bounds)
+
+
+def test_range_sweep_stops_at_first_failure(monkeypatch):
+    real = checks.delta_via_gcd
+    monkeypatch.setattr(checks, "delta_via_gcd", lambda n: 1 if n in (7, 9) else real(n))
+    (report,) = checks.delta(nmax=30)
+    assert [c.params for c in report.cases] == [f"n={n}" for n in range(1, 8)]
+    assert report.first_failure is report.cases[-1]
+    assert report.scope == "two routes agree for n=1..30"

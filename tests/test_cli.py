@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
+import random
 import subprocess
 import sys
 
 import pytest
 
-from fibgrid import GridSystem, LightState, render, to_pbm
+from fibgrid import GridSystem, LightState, PolyGF2, checks, fib_hmp, gcd, render, to_pbm
 from fibgrid.cli import main
 
 
@@ -50,7 +52,7 @@ def test_fib_hmp_rejects_zero(capsys):
 
 
 def test_fib_bad_index():
-    for bad in ("abc", "-3", "0x10", "1.5"):
+    for bad in ("abc", "-3", "0x10", "1.5", "\u0663"):
         with pytest.raises(SystemExit) as err:
             main(["fib", bad])
         assert err.value.code == 2
@@ -96,6 +98,67 @@ def test_table_write_failure(capsys):
 
 # -- verify -----------------------------------------------------------------------
 
+ALL2_K2 = """\
+== all2 ==
+  k=1;n=5   expected=2    computed=2    pass
+  k=2;n=17  expected=2    computed=2    pass
+result: pass, verified for the tested range (2 cases)
+"""
+
+POWERS_A9_K2 = """\
+== powers ==
+  a=3;k=1;n=2   expected=0    computed=0    pass
+  a=3;k=2;n=8   expected=0    computed=0    pass
+  a=5;k=1;n=4   expected=4    computed=4    pass
+  a=5;k=2;n=24  expected=4    computed=4    pass
+  a=7;k=1;n=6   expected=0    computed=0    pass
+  a=7;k=2;n=48  expected=0    computed=0    pass
+  a=9;k=1;n=8   expected=0    computed=0    pass
+  a=9;k=2;n=80  expected=0    computed=0    pass
+result: pass, verified for the tested range (8 cases)
+"""
+
+EQUIVALENCE_K2 = """\
+== equivalence ==
+  k=1;part=link   expected=2    computed=2    pass
+  k=1;part=delta  expected=2    computed=2    pass
+  k=2;part=link   expected=2    computed=2    pass
+  k=2;part=delta  expected=2    computed=2    pass
+result: pass, verified for the tested range (4 cases)
+"""
+
+# exact stdout of each sweep at the bounds test_verify_sweeps_pass passes
+VERIFY_GOLDEN = {
+    "recurrence": (
+        "recurrence double-d: ok (60 checked)\n"
+        "recurrence double-delta: ok (60 checked)\n"
+        "recurrence quad-d: ok (30 checked)\n"
+        "recurrence delta-range: ok (92 checked)\n"
+    ),
+    "delta": "delta: ok (two routes agree for n=1..60)\n",
+    "hmp-gcd": "hmp-gcd: ok (25 random pairs <= 200, seed 1)\n",
+    "ore": "ore: ok (25 random quartets, degrees <= 256, seed 1)\n",
+    "oracle": "oracle: ok (gcd route matches elimination for n=1..8)\n",
+    "all2": ALL2_K2,
+    "powers": POWERS_A9_K2,
+    "equivalence": EQUIVALENCE_K2,
+}
+
+VERIFY_ALL_GOLDEN = (
+    "recurrence double-d: ok (30 checked)\n"
+    "recurrence double-delta: ok (30 checked)\n"
+    "recurrence quad-d: ok (15 checked)\n"
+    "recurrence delta-range: ok (47 checked)\n"
+    "delta: ok (two routes agree for n=1..30)\n"
+    "hmp-gcd: ok (20 random pairs <= 30, seed 1)\n"
+    "ore: ok (20 random quartets, degrees <= 256, seed 1)\n"
+    "oracle: ok (gcd route matches elimination for n=1..30)\n"
+    + ALL2_K2
+    + POWERS_A9_K2
+    + EQUIVALENCE_K2
+    + "verify: all checks passed\n"
+)
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -111,9 +174,7 @@ def test_table_write_failure(capsys):
     ],
 )
 def test_verify_sweeps_pass(capsys, argv):
-    code, out, err = run(capsys, *argv)
-    assert code == 0
-    assert out
+    assert run(capsys, *argv) == (0, VERIFY_GOLDEN[argv[1]], "")
 
 
 def test_verify_all(capsys):
@@ -131,7 +192,7 @@ def test_verify_all(capsys):
         "9",
     )
     assert code == 0
-    assert "verify: all checks passed" in out
+    assert out == VERIFY_ALL_GOLDEN
 
 
 def test_verify_seed_changes_draws_not_verdict(capsys):
@@ -145,6 +206,105 @@ def test_verify_unknown_name():
     with pytest.raises(SystemExit) as err:
         main(["verify", "nonsense"])
     assert err.value.code == 2
+
+
+# Failure paths: one route is made wrong at a known index, and the sweep must
+# exit 1 naming that index, so that none of them can pass vacuously.
+
+
+def _wrong_at(monkeypatch, name, n_bad, wrong):
+    """Make checks.<name>(n) return wrong(true value) at n == n_bad."""
+    real = getattr(checks, name)
+    monkeypatch.setattr(checks, name, lambda n: wrong(real(n)) if n == n_bad else real(n))
+
+
+def _wrong_on_call(monkeypatch, name, k):
+    """Multiply the k-th result of checks.<name> by x."""
+    real = getattr(checks, name)
+    calls = []
+
+    def patched(*args):
+        calls.append(args)
+        got = real(*args)
+        return got << 1 if len(calls) == k else got
+
+    monkeypatch.setattr(checks, name, patched)
+
+
+def test_verify_recurrence_failure(capsys, monkeypatch):
+    # d_10 = d_21 = d_43 = 0 and delta_10 = delta_21 = 0; delta_10 becomes 1
+    _wrong_at(monkeypatch, "_d_and_delta", 10, lambda v: (v[0], 1))
+    assert run(capsys, "verify", "recurrence", "--nmax", "30") == (
+        1,
+        "recurrence double-d: FAIL at n=10, expected 1, got 0\n"
+        "recurrence double-delta: FAIL at n=10, expected 1, got 0\n"
+        "recurrence quad-d: FAIL at n=10, expected 3, got 0\n"
+        "recurrence delta-range: FAIL at n=10, expected 0, got 1\n",
+        "",
+    )
+
+
+def test_verify_delta_failure(capsys, monkeypatch):
+    _wrong_at(monkeypatch, "delta_via_gcd", 7, lambda v: 2 - v)
+    assert run(capsys, "verify", "delta", "--nmax", "30") == (
+        1,
+        "delta: FAIL at n=7, expected 0, got 2\n",
+        "",
+    )
+
+
+def test_verify_oracle_failure(capsys, monkeypatch):
+    _wrong_at(monkeypatch, "d_of_n", 5, lambda v: v + 2)
+    assert run(capsys, "verify", "oracle", "--nmax", "8") == (
+        1,
+        "oracle: FAIL at n=5, expected 2, got 4\n",
+        "",
+    )
+
+
+def test_verify_hmp_gcd_failure(capsys, monkeypatch):
+    rng = random.Random(1)
+    pairs = [(rng.randint(1, 200), rng.randint(1, 200)) for _ in range(4)]
+    m, n = pairs[3]
+    want = fib_hmp(math.gcd(m, n))
+    _wrong_on_call(monkeypatch, "gcd", 4)
+    assert run(capsys, "verify", "hmp-gcd", "--trials", "25", "--nmax", "200") == (
+        1,
+        f"hmp-gcd: FAIL at m={m};n={n}, expected {want.to_hex()}, got {(want << 1).to_hex()}\n",
+        "",
+    )
+
+
+def test_verify_ore_failure(capsys, monkeypatch):
+    rng = random.Random(1)
+
+    def poly():
+        d = rng.randint(0, 256)
+        return PolyGF2(rng.getrandbits(d) | (1 << d))
+
+    quartets = [(poly(), poly(), poly(), poly()) for _ in range(4)]
+    a, b, c, d = quartets[3]
+    want = gcd(a * b, c * d)
+    _wrong_on_call(monkeypatch, "ore_product_gcd", 4)
+    params = f"a={a.to_hex()};b={b.to_hex()};c={c.to_hex()};d={d.to_hex()}"
+    assert run(capsys, "verify", "ore", "--trials", "25") == (
+        1,
+        f"ore: FAIL at {params}, expected {want.to_hex()}, got {(want << 1).to_hex()}\n",
+        "",
+    )
+
+
+def test_verify_all_failure(capsys, monkeypatch):
+    # d_17 = 2 is used by the oracle sweep and by the all2 and equivalence checks
+    _wrong_at(monkeypatch, "d_of_n", 17, lambda v: v + 2)
+    code, out, err = run(
+        capsys, "verify", "all", "--nmax", "30", "--trials", "5", "--kmax", "2", "--amax", "9"
+    )
+    assert code == 1
+    assert "oracle: FAIL at n=17, expected 2, got 4\n" in out
+    assert "  k=2;n=17  expected=2    computed=4    fail\n" in out
+    assert "result: partial (1 of 2 cases failed)\n" in out
+    assert out.endswith("verify: FAILURES above\n")
 
 
 # -- solve ------------------------------------------------------------------------
@@ -183,6 +343,14 @@ def test_solve_malformed_state(tmp_path, capsys):
     code, out, err = run(capsys, "solve", "2", "--state", str(board))
     assert code == 2
     assert "line 3, column 2" in err
+
+
+def test_solve_non_ascii_state(tmp_path, capsys):
+    board = tmp_path / "board.txt"
+    board.write_bytes(b"1\n\xff\n")
+    code, out, err = run(capsys, "solve", "1", "--state", str(board))
+    assert code == 2
+    assert "line 2, column 1" in err
 
 
 def test_solve_side_mismatch(tmp_path, capsys):

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import random
+import threading
 
 import pytest
 
-from fibgrid import GridSystem, LightState, StateFormatError, build_system
+from fibgrid import GridSystem, LightState, StateFormatError
 
 
 def _expected_row(n: int, v: int) -> int:
@@ -141,6 +142,8 @@ def test_apply_involutive(grid_cache):
 
 
 def test_dimension_mismatch():
+    with pytest.raises(ValueError):
+        GridSystem(0)
     s = GridSystem(3)
     with pytest.raises(ValueError):
         s.solve(LightState.all_on(4))
@@ -150,12 +153,27 @@ def test_dimension_mismatch():
         s.apply(LightState.all_off(3), LightState.all_off(2))
 
 
-def test_build_system():
-    s = build_system(3)
-    assert isinstance(s, GridSystem)
-    assert s.n == 3 and s.size == 9
-    with pytest.raises(ValueError):
-        build_system(0)
+def test_shared_instance_solves_across_threads():
+    # four threads released together make the first solves on one fresh instance
+    ref = GridSystem(16)
+    rng = random.Random(16)
+    boards = [ref.apply(LightState(16, rng.getrandbits(256))) for _ in range(4)]
+    shared = GridSystem(16)
+    barrier = threading.Barrier(4, timeout=30)
+    got = [None] * 4
+
+    def work(i):
+        barrier.wait()
+        got[i] = shared.solve(boards[i])
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [ref.solve(b) for b in boards]
+    assert all(p is not None and ref.apply(p) == b for p, b in zip(got, boards))
 
 
 # -- state text format ----------------------------------------------------------
@@ -193,6 +211,8 @@ def test_state_validation():
         ("2\n11\n111\n", 3, 3),  # long row
         ("2\n11\n12\n", 3, 2),  # bad cell
         ("1\n1\nextra\n", 3, 1),  # trailing content
+        ("\u0663\n000\n000\n000\n", 1, 1),  # non-ASCII digit side length
+        ("\u00b2\n1\n", 1, 1),  # superscript digit side length
     ],
 )
 def test_state_parse_errors(text, line, column):

@@ -16,8 +16,8 @@ from fibgrid import (
     nullity_record,
     subst_x_plus_1,
     table,
-    verify_recurrence,
 )
+from fibgrid.checks import recurrence
 
 
 def test_pinned_values():
@@ -46,9 +46,7 @@ def test_validation():
         with pytest.raises(ValueError):
             fn(0)
     with pytest.raises(ValueError):
-        verify_recurrence(0)
-    with pytest.raises(ValueError):
-        verify_recurrence(10, quad_max=11)
+        recurrence(nmax=0)
 
 
 def test_records_and_csv():
@@ -58,27 +56,24 @@ def test_records_and_csv():
 
 
 def test_recurrence_report_shape():
-    report = verify_recurrence(120)
-    assert report.ok
-    assert report.n_max == 120
-    assert report.quad_max == 60
-    assert [c.name for c in report.checks] == ["double-d", "double-delta", "quad-d", "delta-range"]
-    assert all(c.first_failure is None for c in report.checks)
-    assert report.checks[0].checked == 120
-    assert report.checks[2].checked == 60
+    reports = recurrence(nmax=120)
+    assert [r.name for r in reports] == [
+        "recurrence double-d",
+        "recurrence double-delta",
+        "recurrence quad-d",
+        "recurrence delta-range",
+    ]
+    assert all(r.overall == "pass" and r.first_failure is None for r in reports)
+    assert [r.cases[0].params for r in reports] == ["n=1"] * 4
+    assert len(reports[0].cases) == 120 and reports[0].scope == "120 checked"
+    assert len(reports[2].cases) == 60 and reports[2].scope == "60 checked"
     # every index the sweep touched went through the delta-range check
-    assert report.checks[3].checked >= 120
+    assert len(reports[3].cases) >= 120
+    assert reports[3].scope == f"{len(reports[3].cases)} checked"
 
 
 def test_recurrence_is_deterministic():
-    assert verify_recurrence(60) == verify_recurrence(60)
-
-
-def test_recurrence_explicit_quad_bound():
-    report = verify_recurrence(10, quad_max=10)
-    assert report.quad_max == 10
-    assert report.ok
-    assert verify_recurrence(10, quad_max=0).ok
+    assert recurrence(nmax=60) == recurrence(nmax=60)
 
 
 def test_doubling_identity_directly():

@@ -152,6 +152,10 @@ def test_validation():
         P("x + x")
     with pytest.raises(ValueError):
         P("")
+    with pytest.raises(ValueError, match="bad term"):
+        P("x^\u0663")  # digits are ASCII only
+    with pytest.raises(ValueError, match="bad term"):
+        P("x^\u00b2")
 
 
 # -- formats ------------------------------------------------------------------

@@ -34,7 +34,6 @@ from .polygf2 import (
     divrem,
     gcd,
     mul,
-    multiplicity,
     ore_product_gcd,
     subst_x_plus_1,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "divrem",
     "gcd",
     "subst_x_plus_1",
-    "multiplicity",
     "ore_product_gcd",
     "fib_recursive",
     "fib_binomial",

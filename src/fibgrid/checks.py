@@ -6,6 +6,12 @@ with the documented defaults in its signature, and returns a list of
 Reports.  SWEEPS maps the CLI name of each sweep to its function, in the
 order `verify all` runs them.
 
+Which route each sweep reads: d_of_n, the factored fast route, is checked
+by `oracle` against elimination and is the value under test in `all2` and
+`powers`.  `recurrence`, `delta` and `equivalence` check identities that
+d_of_n uses to reduce its GCD, so they read the unreduced full-degree GCD
+(`_d_and_delta`) and never d_of_n.
+
 Two kinds of report share one type.  A conjecture check (scope None) keeps
 every case and renders as a per-case table.  A range sweep sets scope to a
 summary of what it covered, stops at its first failing case, and renders as
@@ -219,16 +225,16 @@ def equivalence(*, kmax: int = 8) -> list[Report]:
 
     Each k contributes a "link" case comparing the measured d(2*3^k - 1)
     against the combination, and a "delta" case pinning delta(3^k - 1) = 2.
+    Every value comes from the unreduced GCD: d_of_n builds the identity
+    into its factored form, so it would check nothing here.
     """
     _require("kmax", kmax)
     cases = []
     power = 1
     for k in range(1, kmax + 1):
         power *= 3
-        m = power - 1
-        dm = d_of_n(m)
-        em = delta_via_gcd(m)
-        lhs = d_of_n(2 * power - 1)
+        dm, em = _d_and_delta(power - 1)
+        lhs = _d_and_delta(2 * power - 1)[0]
         cases.append(Case(f"k={k};part=link", 2 * dm + em, lhs))
         cases.append(Case(f"k={k};part=delta", 2, em))
     return [Report("equivalence", tuple(cases))]

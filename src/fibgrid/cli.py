@@ -200,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_decimal(3),
         help="skip power cases with a^k beyond this degree",
     )
-    p.add_argument("--seed", type=int, help="seed for the random sweeps")
+    p.add_argument("--seed", type=_decimal(0), help="seed for the random sweeps")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("solve", help="press pattern turning a board all-off")

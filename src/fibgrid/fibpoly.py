@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .polygf2 import PolyGF2, _mod_bits
+from .polygf2 import PolyGF2, _mod_bits, _square_bits
 
 __all__ = [
     "fib_recursive",
@@ -60,17 +60,29 @@ def fib_binomial(n: int) -> PolyGF2:
     return PolyGF2(bits)
 
 
-def fib_hmp(n: int) -> PolyGF2:
-    """f_n via the odd-part identity f_{b*2^k} = x^(2^k - 1) * f_b^(2^k), n >= 1.
+def _fib_pair(m: int) -> tuple[int, int]:
+    """(f_m, f_{m+1}) as raw bits, by the doubling ladder, m >= 0.
 
-    Splitting n into odd part b and two-power 2^k replaces most of the
-    recurrence with k squarings, each a linear-time bit interleave.
+    Over GF(2), f_{2j} = x*f_j^2 and f_{2j+1} = f_j^2 + f_{j+1}^2, so each
+    bit of m costs two squarings, which are linear-time bit interleaves,
+    and one shift.
+    """
+    a, b = 0, 1  # f_0, f_1
+    for bit in bin(m)[2:]:
+        a2, b2 = _square_bits(a), _square_bits(b)
+        a, b = (a2 ^ b2, b2 << 1) if bit == "1" else (a2 << 1, a2 ^ b2)
+    return a, b
+
+
+def fib_hmp(n: int) -> PolyGF2:
+    """f_n via the doubling ladder, n >= 1.
+
+    The ladder's even step is the hmp identity f_{2m} = x*f_m^2; its odd
+    step is f_{2m+1} = f_m^2 + f_{m+1}^2.
     """
     if n < 1:
         raise ValueError("index must be >= 1")
-    k = (n & -n).bit_length() - 1
-    b = n >> k
-    return (fib_recursive(b) ** (1 << k)) << ((1 << k) - 1)
+    return PolyGF2(_fib_pair(n)[0])
 
 
 def divisibility_index(tau: PolyGF2, search_bound: int) -> int | None:

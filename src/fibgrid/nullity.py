@@ -6,6 +6,12 @@ reduces to one GCD per side length.  The correction term
 delta_n = d_{2n+1} - 2 d_n is always 0 or 2 and has both a closed form
 (2 exactly when 3 | n+1) and a direct GCD form; both are provided, and
 the sweeps in checks tie everything together.
+
+Two routes compute the GCD.  d_of_n, used by the table and the CLI, runs
+it on a factored f_{n+1} at half the degree of its odd part.  _d_and_delta
+runs it unreduced at full degree; it is the reference that the identity
+sweeps (recurrence, delta, equivalence) read, because d_of_n's reduction
+rests on those same identities.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .fibpoly import fib_hmp
+from .fibpoly import _fib_pair, fib_hmp
 from .polygf2 import _divmod_bits, _gcd_bits, _subst_bits
 
 __all__ = [
@@ -33,10 +39,22 @@ def _require_side(n: int) -> None:
 
 
 def d_of_n(n: int) -> int:
-    """Nullity of the n x n toggle system: deg gcd(f_{n+1}(x), f_{n+1}(x+1))."""
+    """Nullity of the n x n toggle system: deg gcd(f_{n+1}(x), f_{n+1}(x+1)).
+
+    Computed on a factored f_{n+1}: with n+1 = 2^k * b, b odd, and
+    h = f_m + f_{m+1} for m = (b-1)/2, the ladder gives f_b = h^2 and
+    f_{n+1} = x^(2^k - 1) * h^(2^(k+1)).  x never divides f_b, and x+1
+    divides it exactly when 3 | b (f_b(1) is the Fibonacci number F_b mod 2),
+    so the GCD is gcd(h, h(x+1))^(2^(k+1)) times (x^2 + x)^(2^k - 1) when
+    3 | b.  One GCD at half the degree of f_b replaces the full-degree one.
+    """
     _require_side(n)
-    f = fib_hmp(n + 1).bits
-    return _gcd_bits(f, _subst_bits(f)).bit_length() - 1
+    k = ((n + 1) & -(n + 1)).bit_length() - 1
+    b = (n + 1) >> k
+    lo, hi = _fib_pair(b >> 1)
+    h = lo ^ hi
+    d = (_gcd_bits(h, _subst_bits(h)).bit_length() - 1) << (k + 1)
+    return d + 2 * ((1 << k) - 1) if b % 3 == 0 else d
 
 
 def delta_closed_form(n: int) -> int:

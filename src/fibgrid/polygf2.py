@@ -21,7 +21,6 @@ __all__ = [
     "divrem",
     "gcd",
     "subst_x_plus_1",
-    "multiplicity",
     "ore_product_gcd",
 ]
 
@@ -77,31 +76,33 @@ def _gcd_bits(a: int, b: int) -> int:
     return a
 
 
-def _spread_table() -> list[int]:
-    table = []
+def _spread_tables() -> tuple[bytes, bytes]:
+    """Byte -> its low and high nibble with a zero bit after each coefficient."""
+    low, high = bytearray(256), bytearray(256)
     for byte in range(256):
         v = 0
         for i in range(8):
             if byte >> i & 1:
                 v |= 1 << (2 * i)
-        table.append(v)
-    return table
+        low[byte], high[byte] = v & 0xFF, v >> 8
+    return bytes(low), bytes(high)
 
 
-_SPREAD = _spread_table()
+_SPREAD_LOW, _SPREAD_HIGH = _spread_tables()
 
 
 def _square_bits(z: int) -> int:
-    """Square a polynomial: interleave zero bits (Frobenius in characteristic 2)."""
+    """Square a polynomial: interleave zero bits (Frobenius in characteristic 2).
+
+    Input byte i spreads to output bytes 2i and 2i+1, so two translate calls
+    fill the even and odd byte slices.
+    """
     if z == 0:
         return 0
     data = z.to_bytes((z.bit_length() + 7) // 8, "little")
     out = bytearray(2 * len(data))
-    table = _SPREAD
-    for i, byte in enumerate(data):
-        spread = table[byte]
-        out[2 * i] = spread & 0xFF
-        out[2 * i + 1] = spread >> 8
+    out[0::2] = data.translate(_SPREAD_LOW)
+    out[1::2] = data.translate(_SPREAD_HIGH)
     return int.from_bytes(out, "little")
 
 
@@ -331,22 +332,6 @@ def subst_x_plus_1(p: PolyGF2) -> PolyGF2:
     A ring homomorphism and an involution, since (x+1)+1 is x again.
     """
     return PolyGF2(_subst_bits(p.bits))
-
-
-def multiplicity(p: PolyGF2, factor: PolyGF2) -> int:
-    """Largest k such that factor**k divides p; p nonzero, deg factor >= 1."""
-    if not p.bits:
-        raise ValueError("the zero polynomial has unbounded multiplicity")
-    if factor.degree < 1:
-        raise ValueError("factor must have degree >= 1")
-    bits = p.bits
-    count = 0
-    while True:
-        quot, rem = _divmod_bits(bits, factor.bits)
-        if rem:
-            return count
-        bits = quot
-        count += 1
 
 
 def ore_product_gcd(a: PolyGF2, b: PolyGF2, c: PolyGF2, d: PolyGF2) -> PolyGF2:

@@ -110,7 +110,7 @@ def test_c09_three_routes_agree_to_4096():
         assert fib_binomial(n) == f, f"n={n}"
         if n >= 1:
             assert fib_hmp(n) == f, f"n={n}"
-    print("criterion 9: PASS recursive, binomial, odd-part routes agree for n=0..4096")
+    print("criterion 9: PASS recursive, binomial, ladder routes agree for n=0..4096")
 
 
 def test_c10_board_facts(grid_cache):

@@ -48,6 +48,16 @@ def test_empty_ranges_are_refused(name, bounds):
         SWEEPS[name](**bounds)
 
 
+def test_identity_sweeps_never_read_the_factored_route(monkeypatch):
+    # d_of_n reduces its GCD with the identities these sweeps check
+    def refuse(n):
+        raise AssertionError("identity sweep read d_of_n")
+
+    monkeypatch.setattr(checks, "d_of_n", refuse)
+    reports = [*checks.recurrence(nmax=40), *checks.delta(nmax=40), *checks.equivalence(kmax=3)]
+    assert all(r.overall == "pass" for r in reports)
+
+
 def test_range_sweep_stops_at_first_failure(monkeypatch):
     real = checks.delta_via_gcd
     monkeypatch.setattr(checks, "delta_via_gcd", lambda n: 1 if n in (7, 9) else real(n))

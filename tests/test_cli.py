@@ -36,7 +36,7 @@ def test_fib_methods_agree(capsys):
         "x^11 + x^3\n",
         "",
     )
-    # n=0 sits outside the odd-part route; the cross-check skips it quietly
+    # n=0 sits outside the ladder route; the cross-check skips it quietly
     assert run(capsys, "fib", "0", "--all-methods") == (0, "0\n", "")
 
 
@@ -52,10 +52,11 @@ def test_fib_hmp_rejects_zero(capsys):
 
 
 def test_fib_bad_index():
-    for bad in ("abc", "-3", "0x10", "1.5", "\u0663"):
-        with pytest.raises(SystemExit) as err:
-            main(["fib", bad])
-        assert err.value.code == 2
+    for argv in (["fib"], ["verify", "ore", "--trials", "1", "--seed"]):
+        for bad in ("abc", "-3", "0x10", "1.5", "\u0663", " 3", "1_0"):
+            with pytest.raises(SystemExit) as err:
+                main([*argv, bad])
+            assert err.value.code == 2
 
 
 # -- d and table ------------------------------------------------------------------
@@ -295,7 +296,7 @@ def test_verify_ore_failure(capsys, monkeypatch):
 
 
 def test_verify_all_failure(capsys, monkeypatch):
-    # d_17 = 2 is used by the oracle sweep and by the all2 and equivalence checks
+    # d_17 = 2 is used by the oracle sweep and by the all2 check
     _wrong_at(monkeypatch, "d_of_n", 17, lambda v: v + 2)
     code, out, err = run(
         capsys, "verify", "all", "--nmax", "30", "--trials", "5", "--kmax", "2", "--amax", "9"

@@ -17,7 +17,8 @@ from fibgrid import (
     subst_x_plus_1,
     table,
 )
-from fibgrid.checks import recurrence
+from fibgrid.checks import all2, powers, recurrence
+from fibgrid.nullity import _d_and_delta
 
 
 def test_pinned_values():
@@ -25,6 +26,31 @@ def test_pinned_values():
     known = {1: 0, 2: 0, 3: 0, 4: 4, 5: 2, 6: 0, 7: 0, 8: 0, 9: 8, 11: 6, 16: 8, 19: 16}
     for n, d in known.items():
         assert d_of_n(n) == d, f"n={n}"
+
+
+def test_factored_route_matches_unreduced_gcd():
+    for n in range(1, 2001):
+        assert d_of_n(n) == _d_and_delta(n)[0], f"n={n}"
+
+
+@pytest.mark.slow
+def test_factored_route_matches_unreduced_gcd_extended():
+    for n in range(2001, 20001):
+        assert d_of_n(n) == _d_and_delta(n)[0], f"n={n}"
+
+
+@pytest.mark.slow
+def test_all2_through_k12():
+    (report,) = all2(kmax=12)
+    assert report.overall == "pass"
+    assert report.cases[-1].params == "k=12;n=1062881"
+
+
+@pytest.mark.slow
+def test_powers_under_degree_cap_one_million():
+    (report,) = powers(amax=51, kmax=32, degree_cap=1_000_000)
+    assert report.overall == "pass"
+    assert len(report.cases) == 106
 
 
 def test_delta_examples():
@@ -77,8 +103,10 @@ def test_recurrence_is_deterministic():
 
 
 def test_doubling_identity_directly():
+    # d_of_n's factored form satisfies the identity by construction, so the
+    # left side comes from the unreduced gcd
     for n in range(1, 101):
-        assert d_of_n(2 * n + 1) == 2 * d_of_n(n) + delta_via_gcd(n)
+        assert _d_and_delta(2 * n + 1)[0] == 2 * d_of_n(n) + delta_via_gcd(n)
         assert delta_via_gcd(2 * n + 1) == delta_via_gcd(n)
 
 

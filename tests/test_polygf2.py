@@ -15,7 +15,6 @@ from fibgrid import (
     divrem,
     gcd,
     mul,
-    multiplicity,
     ore_product_gcd,
     subst_x_plus_1,
 )
@@ -102,19 +101,6 @@ def test_subst_examples():
     assert subst_x_plus_1(P("x^2 + 1")) == P("x^2")
     assert subst_x_plus_1(ZERO) == ZERO
     assert subst_x_plus_1(ONE) == ONE
-
-
-def test_multiplicity_examples():
-    assert multiplicity(P("x^2 + 1"), P("x + 1")) == 2
-    assert multiplicity(P("x^3"), X) == 3
-    assert multiplicity(P("x^2 + x + 1"), X) == 0
-    # f_6 = x * (x+1)^4
-    assert multiplicity(P("x^5 + x"), X) == 1
-    assert multiplicity(P("x^5 + x"), P("x + 1")) == 4
-    with pytest.raises(ValueError):
-        multiplicity(ZERO, X)
-    with pytest.raises(ValueError):
-        multiplicity(P("x^3"), ONE)
 
 
 def test_ore_example():

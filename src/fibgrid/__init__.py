@@ -2,9 +2,9 @@
 
 The package computes the Fibonacci polynomial family over GF(2), reduces
 the kernel dimension of the n x n all-press toggle system to a single
-polynomial GCD, cross-checks that shortcut against brute-force Gaussian
-elimination, and sweeps the identities and open conjectures that the
-nullity sequence satisfies.
+polynomial GCD, cross-checks that shortcut against light chasing on the
+grid itself (one n x n elimination, no polynomials), and sweeps the
+identities and open conjectures that the nullity sequence satisfies.
 """
 
 from .checks import DEFAULT_DEGREE_CAP, SWEEPS, Case, Report, to_text

@@ -7,9 +7,10 @@ Reports.  SWEEPS maps the CLI name of each sweep to its function, in the
 order `verify all` runs them.
 
 Which route each sweep reads: d_of_n, the factored fast route, is checked
-by `oracle` against elimination and is the value under test in `all2` and
-`powers`.  `recurrence`, `delta` and `equivalence` check identities that
-d_of_n uses to reduce its GCD, so they read the unreduced full-degree GCD
+by `oracle` against the light-chasing nullity of `GridSystem`, which builds
+no polynomial, and is the value under test in `all2` and `powers`.
+`recurrence`, `delta` and `equivalence` check identities that d_of_n uses
+to reduce its GCD, so they read the unreduced full-degree GCD
 (`_d_and_delta`) and never d_of_n.
 
 Two kinds of report share one type.  A conjecture check (scope None) keeps
@@ -174,7 +175,11 @@ def ore(*, trials: int = 10000, seed: int = 1) -> list[Report]:
 
 
 def oracle(*, nmax: int = 64) -> list[Report]:
-    """d_n by the GCD route against elimination nullity, n = 1..nmax."""
+    """d_n by the GCD route against the light-chasing nullity, n = 1..nmax.
+
+    The chase ends in one elimination on the n x n residue matrix, hence
+    the summary's wording.
+    """
     _require("nmax", nmax)
     triples = ((f"n={n}", GridSystem(n).nullity(), d_of_n(n)) for n in range(1, nmax + 1))
     return [_sweep("oracle", f"gcd route matches elimination for n=1..{nmax}", triples)]

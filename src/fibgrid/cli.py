@@ -3,7 +3,8 @@
 Exit status discipline: 0 on success, 1 for honest negative outcomes
 (verification failures, unsolvable boards, I/O trouble), 2 for usage and
 parse errors.  All output is deterministic for fixed arguments; random
-sweeps take an explicit seed with a fixed default.
+sweeps take an explicit seed with a fixed default.  Sizes above _LIMITS
+are refused with status 2 before any work starts.
 """
 
 from __future__ import annotations
@@ -24,6 +25,18 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 _METHODS = {"recursive": fib_recursive, "binomial": fib_binomial, "hmp": fib_hmp}
+
+# command -> (argument, largest accepted value).  A grid side n keeps
+# kernel_basis() within 1 GiB: at most n vectors of n*n bits, 2000^3 bits
+# being 0.93 GiB.  d's GCD is quadratic in n, about 25 s at 2,000,000 on a
+# shared 2-core machine.  A raster of ROWS rows prints 2*ROWS^2 characters,
+# 32 MiB at 4096.
+_LIMITS = {
+    "d": ("n", 2_000_000),
+    "solve": ("n", 2000),
+    "oracle": ("n", 2000),
+    "sierpinski": ("rows", 4096),
+}
 
 
 def _decimal(minimum: int):
@@ -217,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--ascii", action="store_true", help="print '#'/'.' art instead of PBM")
     p.set_defaults(func=cmd_sierpinski)
 
-    p = sub.add_parser("oracle", help="grid nullity by brute-force elimination")
+    p = sub.add_parser("oracle", help="grid nullity by light chasing, no polynomials")
     p.add_argument("n", type=_decimal(1), help="grid side length, n >= 1")
     p.set_defaults(func=cmd_oracle)
 
@@ -226,6 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.command in _LIMITS:
+        name, limit = _LIMITS[args.command]
+        value = getattr(args, name)
+        if value > limit:
+            print(f"{args.command}: {name} must be <= {limit}, got {value}", file=sys.stderr)
+            return EXIT_USAGE
     return args.func(args)
 
 

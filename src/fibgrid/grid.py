@@ -1,10 +1,18 @@
-"""Brute-force ground truth for the grid toggle game.
+"""Light chasing on the grid toggle game: nullity, kernel and solver.
 
 Pressing cell (r, c) of an n x n board flips that cell and its orthogonal
-neighbors.  The press-to-effect map is a symmetric N x N matrix over GF(2)
-(N = n*n); this module stores each matrix row as one Python int bitset and
-answers rank, kernel and solvability questions by plain Gaussian
-elimination, independent of any polynomial shortcut.
+neighbors.  Over GF(2) the press-to-effect map is the symmetric N x N matrix
+A + I (N = n*n).  Boards and press patterns are Python int bitsets, bit
+r*n + c for cell (r, c).
+
+The matrix is block-tridiagonal, so the first-row presses decide every other
+row: row r+1 must press exactly the lights that rows r-1 and r leave on in
+row r.  Chasing the lights down leaves a residue below the last row that
+depends linearly on the first-row presses, through an n x n matrix
+M = f_{n+1}(B), where B = A_path + I acts on one row.  So
+nullity(A + I) = nullity(M), and every question about A + I is one
+elimination on M plus chases.  No Fibonacci polynomial is built here, so this
+route to d_n is independent of the GCD route.
 """
 
 from __future__ import annotations
@@ -94,13 +102,54 @@ class LightState:
         return self.to_text()
 
 
-class GridSystem:
-    """Toggle matrix of the n x n grid with elimination-backed queries.
+def _echelon(rows: list[int], width: int) -> dict[int, int]:
+    """Forward elimination of width-bit rows, pivoting on each row's lowest set bit.
 
-    Row v has bits at v and at each in-bounds orthogonal neighbor of v.
-    Elimination runs once, in the constructor, and keeps pivot rows augmented
-    with combination tracking; nothing changes afterwards, so one instance
-    is safe to share across threads.
+    Returns the pivot rows by pivot column.  They carry the identity
+    augmentation in bits above width, so each reduced row remembers which
+    original rows combined into it.
+    """
+    mask = (1 << width) - 1
+    pivots: dict[int, int] = {}
+    for v, row in enumerate(rows):
+        r = row | 1 << (width + v)
+        while r & mask:
+            p = (r & -r).bit_length() - 1
+            piv = pivots.get(p)
+            if piv is None:
+                pivots[p] = r
+                break
+            r ^= piv
+    return pivots
+
+
+def _back_substitute(pivots: dict[int, int], width: int, seed: int, b: int) -> int:
+    """Solve the echelon equations with the non-pivot coordinates preset.
+
+    Each pivot equation reads x_p = (track_p . b) + (row_p . x) over the
+    already-fixed higher coordinates; seed supplies the free columns.
+    """
+    x = seed
+    mask = (1 << width) - 1
+    for p in sorted(pivots, reverse=True):
+        aug = pivots[p]
+        if ((aug >> width & b).bit_count() ^ (aug & mask & x).bit_count()) & 1:
+            x |= 1 << p
+    return x
+
+
+class GridSystem:
+    """Toggle system of the n x n grid, answered by light chasing.
+
+    The constructor eliminates the n x n residue matrix M once and reduces
+    the kernel of A + I to echelon form, pivoting on each vector's highest
+    set bit.  A kernel vector is fixed by its last row (chase upwards from
+    the bottom), so every pivot lies on the last row and the reduction runs
+    on last rows alone; each reduced vector is kept as the first row that
+    chases out to it.  The pivots are the free cells: the columns left
+    without a pivot when A + I is eliminated on lowest set bits.  Nothing
+    changes after the constructor, so one instance is safe to share across
+    threads.
     """
 
     def __init__(self, n: int):
@@ -108,83 +157,94 @@ class GridSystem:
             raise ValueError("side length must be >= 1")
         self.n = n
         self.size = n * n
-        self._mask = (1 << self.size) - 1
-        rows = []
-        for r in range(n):
-            for c in range(n):
-                v = r * n + c
-                bits = 1 << v
-                if r > 0:
-                    bits |= 1 << (v - n)
-                if r + 1 < n:
-                    bits |= 1 << (v + n)
-                if c > 0:
-                    bits |= 1 << (v - 1)
-                if c + 1 < n:
-                    bits |= 1 << (v + 1)
-                rows.append(bits)
-        self._rows = rows
-        self._pivots = self._eliminate()
-        self._pivot_cols = sorted(self._pivots)
+        self._full = (1 << self.size) - 1
+        self._row = (1 << n) - 1
+        first_col = int(("0" * (n - 1) + "1") * n, 2)
+        self._not_first = self._full ^ first_col
+        self._not_last = self._full ^ (first_col << (n - 1))
+
+        # Bit-sliced chase: lane c (bits c*n .. c*n + n-1) masks the first-row
+        # presses whose parity presses cell c of the current row.  After n
+        # steps, lane c is row c of M.
+        prev, cur = 0, int("1" + ("0" * n + "1") * (n - 1), 2)
+        for _ in range(n):
+            prev, cur = cur, prev ^ cur ^ (cur << n & self._full) ^ (cur >> n)
+        self._pivots = _echelon(self._split(cur), n)
+
+        # Kernel vectors of M, each packed as its chased last row above itself.
+        zeros = [0] * n
+        reduced: dict[int, int] = {}
+        for j in range(n):
+            if j not in self._pivots:
+                first = _back_substitute(self._pivots, n, 1 << j, 0)
+                r = self._chase(first, zeros)[n - 1] << n | first
+                while (p := r.bit_length() - 1 - n) in reduced:
+                    r ^= reduced[p]
+                reduced[p] = r
+        tops = sorted(reduced)
+        for i, p in enumerate(tops):
+            for q in tops[i + 1 :]:
+                if reduced[q] >> (n + p) & 1:
+                    reduced[q] ^= reduced[p]
+        # (pivot column on the last row, first row of its kernel vector)
+        self._kernel = tuple((p, reduced[p] & self._row) for p in tops)
+
+    def _split(self, bits: int) -> list[int]:
+        """Rows 0..n-1 of an n*n-bit int, through one binary string."""
+        n = self.n
+        text = format(bits, f"0{self.size}b")
+        return [int(text[i - n : i], 2) for i in range(self.size, 0, -n)]
+
+    def _join(self, rows: list[int]) -> int:
+        """Inverse of _split."""
+        n = self.n
+        return int("".join(format(r, f"0{n}b") for r in reversed(rows)), 2)
+
+    def _chase(self, first: int, board: list[int]) -> list[int]:
+        """Press rows x_0 = first, x_1, ..., x_n down the given board rows.
+
+        x_{r+1} = board_r + x_{r-1} + B x_r presses what rows r-1 and r leave
+        on in row r, so x_0 .. x_{n-1} clear rows 0 .. n-2, and x_n, a row
+        below the board, is what they leave on in the last row.
+        """
+        row = self._row
+        xs = [0, first]
+        for b in board:
+            cur = xs[-1]
+            xs.append((b ^ xs[-2] ^ cur ^ cur << 1 ^ cur >> 1) & row)
+        return xs[1:]
+
+    def _toggle(self, presses: int) -> int:
+        """Board toggled by a press set: five shifted copies XORed together."""
+        n = self.n
+        return (
+            presses
+            ^ (presses << 1 & self._not_first)
+            ^ (presses >> 1 & self._not_last)
+            ^ (presses << n & self._full)
+            ^ (presses >> n)
+        )
 
     def row_bits(self, v: int) -> int:
         """Matrix row for pressing cell v, as a column bitset."""
-        return self._rows[v]
-
-    def _eliminate(self) -> dict[int, int]:
-        """Forward elimination, pivoting on each row's lowest set bit.
-
-        Returns the pivot rows by pivot column.  They carry the identity
-        augmentation in bits above size, so each reduced row remembers which
-        original presses combined into it.
-        """
-        size = self.size
-        mask = self._mask
-        pivots: dict[int, int] = {}
-        for v, row in enumerate(self._rows):
-            r = row | 1 << (size + v)
-            while r & mask:
-                p = (r & -r).bit_length() - 1
-                piv = pivots.get(p)
-                if piv is None:
-                    pivots[p] = r
-                    break
-                r ^= piv
-        return pivots
+        if not 0 <= v < self.size:
+            raise IndexError("cell index out of range")
+        return self._toggle(1 << v)
 
     def rank(self) -> int:
-        return len(self._pivots)
+        return self.size - self.nullity()
 
     def nullity(self) -> int:
-        """Kernel dimension over GF(2): board size minus elimination rank."""
-        return self.size - self.rank()
-
-    def _back_substitute(self, seed: int, b: int) -> int:
-        """Solve the echelon equations with the non-pivot coordinates preset.
-
-        Each pivot equation reads x_p = (track_p . b) + (row_p . x) over the
-        already-fixed higher coordinates; seed supplies the free columns.
-        """
-        x = seed
-        size = self.size
-        mask = self._mask
-        for p in reversed(self._pivot_cols):
-            aug = self._pivots[p]
-            row = aug & mask
-            track = aug >> size
-            parity = ((track & b).bit_count() ^ (row & x).bit_count()) & 1
-            if parity:
-                x |= 1 << p
-        return x
+        """Kernel dimension over GF(2), equal to the nullity of M."""
+        return len(self._kernel)
 
     def kernel_basis(self) -> tuple[LightState, ...]:
-        """One kernel vector per free column: that column set, pivots back-substituted."""
-        pivot_set = self._pivots.keys()
-        basis = []
-        for f in range(self.size):
-            if f not in pivot_set:
-                basis.append(LightState(self.n, self._back_substitute(1 << f, 0)))
-        return tuple(basis)
+        """One kernel vector per free cell: that cell pressed, no other free cell."""
+        zeros = [0] * self.n
+        return tuple(
+            LightState(self.n, self._join(self._chase(first, zeros)[:-1]))
+            for _, first in self._kernel
+        )
 
     def apply(self, presses: LightState, state: LightState | None = None) -> LightState:
         """Board reached from state (default all off) after the given presses."""
@@ -193,32 +253,34 @@ class GridSystem:
         if state is not None and state.n != self.n:
             raise ValueError("state side length does not match the system")
         acc = 0 if state is None else state.bits
-        rem = presses.bits
-        while rem:
-            low = rem & -rem
-            acc ^= self._rows[low.bit_length() - 1]
-            rem ^= low
-        return LightState(self.n, acc)
+        return LightState(self.n, acc ^ self._toggle(presses.bits))
 
     def solve(self, state: LightState) -> LightState | None:
         """Press pattern that turns the given state all-off, or None if unsolvable.
 
-        Free cells are never pressed, so the answer is deterministic.  Every
-        candidate is re-applied and checked before being returned; a candidate
-        that fails the check certifies the state unsolvable, since consistent
+        A chase from no first-row presses leaves a residue c; first-row
+        presses y with M y = c clear it.  Adding the kernel vector of each
+        free cell that y's chase presses leaves every free cell unpressed, so
+        the answer is unique, and one more chase gives it.  Every candidate
+        is re-applied and checked before being returned; a candidate that
+        fails the check certifies the state unsolvable, since consistent
         systems always back-substitute to a solution.
         """
         if state.n != self.n:
             raise ValueError("state side length does not match the system")
-        x = self._back_substitute(0, state.bits)
-        candidate = LightState(self.n, x)
-        if self.apply(candidate).bits != state.bits:
+        board = self._split(state.bits)
+        first = _back_substitute(self._pivots, self.n, 0, self._chase(0, board)[-1])
+        last = self._chase(first, board)[-2]
+        for p, kernel_first in self._kernel:
+            if last >> p & 1:
+                first ^= kernel_first
+        presses = self._join(self._chase(first, board)[:-1])
+        if self._toggle(presses) != state.bits:
             return None
-        return candidate
+        return LightState(self.n, presses)
 
     def count_solutions(self, state: LightState) -> int:
         """Number of distinct solving press patterns: 2**nullity, given solvability."""
         if self.solve(state) is None:
             raise ValueError("state is not solvable")
         return 1 << self.nullity()
-

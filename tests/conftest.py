@@ -13,7 +13,7 @@ settings.load_profile("package")
 
 @pytest.fixture(scope="session")
 def grid_cache():
-    """Memoized toggle systems, so elimination runs once per side length."""
+    """Memoized toggle systems, so each side length is eliminated and chased once."""
     cache: dict[int, GridSystem] = {}
 
     def get(n: int) -> GridSystem:

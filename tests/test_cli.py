@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from fibgrid import GridSystem, LightState, PolyGF2, checks, fib_hmp, gcd, render, to_pbm
+from fibgrid import GridSystem, LightState, PolyGF2, checks, cli, fib_hmp, gcd, render, to_pbm
 from fibgrid.cli import main
 
 
@@ -413,6 +413,30 @@ def test_sierpinski_write_failure(capsys):
 def test_oracle_line(capsys):
     assert run(capsys, "oracle", "5") == (0, "n=5 nullity=2\n", "")
     assert run(capsys, "oracle", "1") == (0, "n=1 nullity=0\n", "")
+
+
+# -- size limits -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("d", "2000001"), "d: n must be <= 2000000, got 2000001\n"),
+        (("solve", "2001", "--all-ones"), "solve: n must be <= 2000, got 2001\n"),
+        (("solve", "2001", "--state", "/nonexistent"), "solve: n must be <= 2000, got 2001\n"),
+        (("oracle", "2001"), "oracle: n must be <= 2000, got 2001\n"),
+        (("oracle", "9" * 30), f"oracle: n must be <= 2000, got {'9' * 30}\n"),
+        (("sierpinski", "4097"), "sierpinski: rows must be <= 4096, got 4097\n"),
+    ],
+)
+def test_sizes_above_the_limit_are_refused(capsys, monkeypatch, argv, message):
+    # refused before any work starts: the routes the commands call must not run
+    def boom(*args, **kwargs):
+        raise AssertionError("work started on a refused size")
+
+    for name in ("GridSystem", "d_of_n", "render"):
+        monkeypatch.setattr(cli, name, boom)
+    assert run(capsys, *argv) == (2, "", message)
 
 
 def test_console_entry_point():

@@ -1,4 +1,4 @@
-"""Toggle-system oracle: matrix shape, elimination, solving, and the state format."""
+"""Toggle system: matrix shape, light chasing against elimination, solving, the state format."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import threading
 import pytest
 
 from fibgrid import GridSystem, LightState, StateFormatError
+from reference_grid import EliminationGrid
 
 
 def _expected_row(n: int, v: int) -> int:
@@ -37,6 +38,24 @@ def test_matrix_is_symmetric():
         for u in range(n * n):
             for v in range(n * n):
                 assert s.row_bits(u) >> v & 1 == s.row_bits(v) >> u & 1
+
+
+def test_chase_matches_elimination_reference():
+    # Same nullity, same kernel basis bit for bit, and the same canonical
+    # answers (free cells never pressed) as N x N elimination on A + I.
+    for n in [*range(1, 41), 56, 64]:
+        s = GridSystem(n)
+        ref = EliminationGrid(n)
+        assert s.nullity() == ref.nullity(), f"n={n}"
+        assert [k.bits for k in s.kernel_basis()] == ref.kernel_basis(), f"n={n}"
+        rng = random.Random(f"chase-{n}")
+        boards = [(1 << n * n) - 1]
+        for _ in range(3):
+            boards.append(ref.apply(rng.getrandbits(n * n)))  # solvable
+            boards.append(rng.getrandbits(n * n))  # uniform
+        for bits in boards:
+            got = s.solve(LightState(n, bits))
+            assert (None if got is None else got.bits) == ref.solve(bits), f"n={n}"
 
 
 def test_rank_nullity(grid_cache):

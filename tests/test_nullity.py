@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from fibgrid import (
+    GridSystem,
     NullityRecord,
     PolyGF2,
     d_of_n,
@@ -22,7 +23,7 @@ from fibgrid.nullity import _d_and_delta
 
 
 def test_pinned_values():
-    # cross-checked against brute-force elimination (see test_grid / acceptance)
+    # cross-checked against light chasing (see test_grid / acceptance)
     known = {1: 0, 2: 0, 3: 0, 4: 4, 5: 2, 6: 0, 7: 0, 8: 0, 9: 8, 11: 6, 16: 8, 19: 16}
     for n, d in known.items():
         assert d_of_n(n) == d, f"n={n}"
@@ -133,6 +134,8 @@ def test_oracle_agreement_small(grid_cache):
 
 
 @pytest.mark.slow
-def test_oracle_agreement_extended(grid_cache):
-    for n in range(65, 101):
-        assert d_of_n(n) == grid_cache(n).nullity(), f"n={n}"
+def test_oracle_agreement_extended():
+    # light chasing builds no polynomial, so it checks the GCD route from
+    # outside; d_128 = 56, and 1457 = 2*3^6 - 1 has d = 2
+    for n in [*range(1, 301), 511, 512, 1000, 1457, 2000]:
+        assert d_of_n(n) == GridSystem(n).nullity(), f"n={n}"

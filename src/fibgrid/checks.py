@@ -6,12 +6,13 @@ with the documented defaults in its signature, and returns a list of
 Reports.  SWEEPS maps the CLI name of each sweep to its function, in the
 order `verify all` runs them.
 
-Which route each sweep reads: d_of_n, the factored fast route, is checked
-by `oracle` against the light-chasing nullity of `GridSystem`, which builds
-no polynomial, and is the value under test in `all2` and `powers`.
-`recurrence`, `delta` and `equivalence` check identities that d_of_n uses
-to reduce its GCD, so they read the unreduced full-degree GCD
-(`_d_and_delta`) and never d_of_n.
+Which route each sweep reads: d_of_n, the factored fast route that ends
+its GCD in GF(2)[y], y = x^2 + x, is checked by `oracle` against the
+light-chasing nullity of `GridSystem`, which builds no polynomial, and is
+the value under test in `all2` and `powers`.  `recurrence`, `delta` and
+`equivalence` check identities that d_of_n uses to reduce its GCD, so they
+read the unreduced full-degree GCD in GF(2)[x] (`_d_and_delta`) and never
+d_of_n.
 
 Two kinds of report share one type.  A conjecture check (scope None) keeps
 every case and renders as a per-case table.  A range sweep sets scope to a

@@ -8,19 +8,23 @@ delta_n = d_{2n+1} - 2 d_n is always 0 or 2 and has both a closed form
 the sweeps in checks tie everything together.
 
 Two routes compute the GCD.  d_of_n, used by the table and the CLI, runs
-it on a factored f_{n+1} at half the degree of its odd part.  _d_and_delta
-runs it unreduced at full degree; it is the reference that the identity
-sweeps (recurrence, delta, equivalence) read, because d_of_n's reduction
-rests on those same identities.
+it on a factored f_{n+1} at half the degree of its odd part, and after one
+Euclid step descends to y = x^2 + x, halving the degree again: the GCD is
+fixed by x -> x+1, and the polynomials that map fixes are the polynomials
+in y.  _d_and_delta runs it unreduced at full degree, with neither
+reduction; it is the reference that the identity sweeps (recurrence,
+delta, equivalence) read, because d_of_n's reductions rest on those same
+identities.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .fibpoly import _fib_pair, fib_hmp
-from .polygf2 import _divmod_bits, _gcd_bits, _subst_bits
+from .polygf2 import _descend_bits, _divmod_bits, _gcd_bits, _mod_bits, _subst_bits
 
 __all__ = [
     "NullityRecord",
@@ -38,6 +42,40 @@ def _require_side(n: int) -> None:
         raise ValueError("grid side length must be >= 1")
 
 
+def _odd_gcd_degree(b: int) -> int:
+    """deg gcd(h, h(x+1)) for odd b, where h = f_m + f_{m+1} and m = (b-1)/2.
+
+    Write sigma for x -> x+1, an involution; the polynomials it fixes are
+    exactly the polynomials in y = x^2 + x.  Euclid's first step replaces
+    sigma(h) by S = h + sigma(h), which sigma fixes.  r = h mod S is fixed
+    too: sigma(r) = sigma(h) = h + S = h = r (mod S), and deg sigma(r) =
+    deg r < deg S.  So S = s(x^2 + x) and r = rho(x^2 + x), and because
+    GF(2)[x] is free over GF(2)[y], gcd(S, r) = gcd(s, rho)(x^2 + x): the
+    rest of Euclid runs on s and rho, at half the degree.  S = 0 means h is
+    fixed by sigma and is its own GCD.
+    """
+    lo, hi = _fib_pair(b >> 1)
+    h = lo ^ hi
+    big_s = h ^ _subst_bits(h)
+    if not big_s:
+        return h.bit_length() - 1
+    r = _mod_bits(h, big_s)
+    # half is a power of two above deg s = deg S / 2.  One descent of
+    # S + (x^2 + x)^half r = S + (x^(2 half) + x^half) r gives s + y^half rho.
+    half = 1 << (big_s.bit_length() >> 1).bit_length()
+    p = _descend_bits(big_s ^ (r << half) ^ (r << 2 * half))
+    s, rho = p & ((1 << half) - 1), p >> half
+    return 2 * (_gcd_bits(s, rho).bit_length() - 1)
+
+
+def _d_from(n: int, odd_gcd_degree: Callable[[int], int]) -> int:
+    """d_n assembled from odd_gcd_degree(b), b the odd part of n + 1."""
+    k = ((n + 1) & -(n + 1)).bit_length() - 1
+    b = (n + 1) >> k
+    d = odd_gcd_degree(b) << (k + 1)
+    return d + 2 * ((1 << k) - 1) if b % 3 == 0 else d
+
+
 def d_of_n(n: int) -> int:
     """Nullity of the n x n toggle system: deg gcd(f_{n+1}(x), f_{n+1}(x+1)).
 
@@ -46,15 +84,12 @@ def d_of_n(n: int) -> int:
     f_{n+1} = x^(2^k - 1) * h^(2^(k+1)).  x never divides f_b, and x+1
     divides it exactly when 3 | b (f_b(1) is the Fibonacci number F_b mod 2),
     so the GCD is gcd(h, h(x+1))^(2^(k+1)) times (x^2 + x)^(2^k - 1) when
-    3 | b.  One GCD at half the degree of f_b replaces the full-degree one.
+    3 | b.  gcd(h, h(x+1)) is fixed by x -> x+1, so after one step at the
+    degree of h its Euclid runs in GF(2)[y], y = x^2 + x, at half that
+    degree (_odd_gcd_degree).
     """
     _require_side(n)
-    k = ((n + 1) & -(n + 1)).bit_length() - 1
-    b = (n + 1) >> k
-    lo, hi = _fib_pair(b >> 1)
-    h = lo ^ hi
-    d = (_gcd_bits(h, _subst_bits(h)).bit_length() - 1) << (k + 1)
-    return d + 2 * ((1 << k) - 1) if b % 3 == 0 else d
+    return _d_from(n, _odd_gcd_degree)
 
 
 def delta_closed_form(n: int) -> int:
@@ -100,7 +135,12 @@ def nullity_record(n: int) -> NullityRecord:
 def table(n_max: int) -> list[NullityRecord]:
     """Records for every n in 1..n_max, in order."""
     _require_side(n_max)
-    return [nullity_record(n) for n in range(1, n_max + 1)]
+    # rows whose n + 1 share an odd part share their GCD
+    odd_gcd_degree = functools.cache(_odd_gcd_degree)
+    return [
+        NullityRecord(n, _d_from(n, odd_gcd_degree), delta_closed_form(n))
+        for n in range(1, n_max + 1)
+    ]
 
 
 def format_csv(records: Iterable[NullityRecord]) -> str:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 __all__ = [
+    "MAX_PARSE_DEGREE",
     "PolyGF2",
     "ZERO",
     "ONE",
@@ -129,7 +130,69 @@ def _subst_bits(z: int) -> int:
     return z
 
 
+def _descent_tables() -> tuple[bytes, bytes, bytes]:
+    """Byte tables for the two byte-local descent levels, t = 2 and t = 1.
+
+    low[byte] and high[byte] are the even bits of the folded byte, packed
+    into the low and the high nibble: the inverse of _SPREAD_LOW and
+    _SPREAD_HIGH.  ``invariant`` lists the bytes whose folded form has no
+    odd bit set.
+    """
+    low, high, invariant = bytearray(256), bytearray(256), bytearray()
+    for byte in range(256):
+        v = byte
+        v ^= (v >> 4) & 0x0C  # t = 2 on the whole byte
+        v ^= (v >> 2) & 0x3C
+        v ^= (v >> 2) & 0x22  # t = 1 on each nibble
+        v ^= (v >> 1) & 0x66
+        nibble = sum((v >> (2 * i) & 1) << i for i in range(4))
+        low[byte], high[byte] = nibble, nibble << 4
+        if not v & 0xAA:
+            invariant.append(byte)
+    return bytes(low), bytes(high), bytes(invariant)
+
+
+_DESCEND_LOW, _DESCEND_HIGH, _INVARIANT_BYTES = _descent_tables()
+
+
+def _descend_bits(z: int) -> int:
+    """Map p(x^2 + x) to p: the inverse of substituting y = x^2 + x.
+
+    Over GF(2), (x^2 + x)^t = x^(2t) + x^t for t a power of two.  A block
+    g_lo + x^t g0 + x^(2t) g1 + x^(3t) g2 of 4t bits therefore equals
+    A + (x^2 + x)^t B with A = [g_lo, g0+g1+g2] and B = [g1+g2, g2]: one
+    fold, two masked shift-XORs.  Folding every block from the top level
+    down to t = 1 writes z as the sum of (c_k + d_k x)(x^2 + x)^k, c_k at
+    bit 2k and d_k at bit 2k+1.  z(x+1) - z is the sum of d_k (x^2 + x)^k,
+    so a set odd bit means z is not fixed by x -> x+1: ValueError.  The
+    levels t = 2 and t = 1 stay inside one byte and run in the translate
+    tables, which also drop the odd bits that _square_bits puts in.
+    """
+    if z == 0:
+        return 0
+    nbytes = 1 << ((z.bit_length() - 1) >> 3).bit_length()  # a power of two
+    t = 2 * nbytes  # the top level: one block of 4t bits holds all of z
+    while t > 2:
+        # ones on bits [t, 2t) and [t, 3t) of each block of t/2 bytes
+        low = ((1 << 2 * t) - (1 << t)).to_bytes(t >> 1, "little")
+        mid = ((1 << 3 * t) - (1 << t)).to_bytes(t >> 1, "little")
+        reps = 2 * nbytes // t
+        z ^= (z >> 2 * t) & int.from_bytes(low * reps, "little")
+        z ^= (z >> t) & int.from_bytes(mid * reps, "little")
+        t >>= 1
+    data = z.to_bytes(nbytes, "little")
+    if data.translate(None, _INVARIANT_BYTES):
+        raise ValueError("not a polynomial in x^2 + x")
+    even = int.from_bytes(data[0::2].translate(_DESCEND_LOW), "little")
+    return even | int.from_bytes(data[1::2].translate(_DESCEND_HIGH), "little")
+
+
 # -- public value type -------------------------------------------------------
+
+# The largest exponent PolyGF2.parse accepts.  It is far above the largest
+# degree the CLI prints (fib N, N <= 1,000,000) and keeps a parsed
+# polynomial within 2 MiB.
+MAX_PARSE_DEGREE = 1 << 24
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,25 +231,37 @@ class PolyGF2:
 
     @classmethod
     def parse(cls, text: str) -> "PolyGF2":
-        """Inverse of to_text: terms 1, x, x^k joined by +, or the single term 0."""
+        """Inverse of to_text: terms 1, x, x^k joined by +, or the single term 0.
+
+        Raises ValueError on any other text, including an exponent above
+        MAX_PARSE_DEGREE.
+        """
         s = text.strip()
         if s == "0":
             return cls(0)
-        bits = 0
+        exponents: set[int] = set()
         for raw in s.split("+"):
             term = raw.strip()
             if term == "1":
-                bit = 1
+                k = 0
             elif term == "x":
-                bit = 2
+                k = 1
             elif term.startswith("x^") and term[2:].isascii() and term[2:].isdigit():
-                bit = 1 << int(term[2:])
+                digits = term[2:].lstrip("0") or "0"
+                if len(digits) > len(str(MAX_PARSE_DEGREE)) or int(digits) > MAX_PARSE_DEGREE:
+                    raise ValueError(f"exponent of {term!r} exceeds {MAX_PARSE_DEGREE}")
+                k = int(digits)
             else:
                 raise ValueError(f"bad term {term!r}")
-            if bits & bit:
+            if k in exponents:
                 raise ValueError(f"repeated term {term!r}")
-            bits |= bit
-        return cls(bits)
+            exponents.add(k)
+        # set the bits in one buffer: OR-ing each term into an int would
+        # copy the whole int per term
+        buf = bytearray(max(exponents) // 8 + 1)
+        for k in exponents:
+            buf[k >> 3] |= 1 << (k & 7)
+        return cls(int.from_bytes(buf, "little"))
 
     @classmethod
     def from_hex(cls, s: str) -> "PolyGF2":

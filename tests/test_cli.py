@@ -427,6 +427,10 @@ def test_oracle_line(capsys):
         (("oracle", "2001"), "oracle: n must be <= 2000, got 2001\n"),
         (("oracle", "9" * 30), f"oracle: n must be <= 2000, got {'9' * 30}\n"),
         (("sierpinski", "4097"), "sierpinski: rows must be <= 4096, got 4097\n"),
+        (("fib", "1000001"), "fib: n must be <= 1000000, got 1000001\n"),
+        (("fib", "1000001", "--all-methods"), "fib: n must be <= 1000000, got 1000001\n"),
+        (("table", "30001"), "table: n_max must be <= 30000, got 30001\n"),
+        (("table", "30001", "-o", "/nonexistent/t.csv"), "table: n_max must be <= 30000, got 30001\n"),
     ],
 )
 def test_sizes_above_the_limit_are_refused(capsys, monkeypatch, argv, message):
@@ -434,8 +438,10 @@ def test_sizes_above_the_limit_are_refused(capsys, monkeypatch, argv, message):
     def boom(*args, **kwargs):
         raise AssertionError("work started on a refused size")
 
-    for name in ("GridSystem", "d_of_n", "render"):
+    for name in ("GridSystem", "d_of_n", "render", "table"):
         monkeypatch.setattr(cli, name, boom)
+    for method in cli._METHODS:
+        monkeypatch.setitem(cli._METHODS, method, boom)
     assert run(capsys, *argv) == (2, "", message)
 
 

@@ -10,7 +10,7 @@ import tempfile
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fibgrid import SWEEPS, LightState, StateFormatError
+from fibgrid import SWEEPS, LightState, PolyGF2, StateFormatError
 from fibgrid.cli import main
 
 # near-valid boards reach the row and cell checks, not just the header check
@@ -29,6 +29,27 @@ def test_board_parser_raises_only_its_format_error(text):
     except StateFormatError:
         return
     assert LightState.from_text(state.to_text()) == state
+
+
+# near-valid polynomial text reaches the exponent and repeated-term checks
+_poly_text = st.lists(
+    st.one_of(
+        st.sampled_from(["0", "1", "x", "x^", "x^2", " x^3 ", "x^٣", "x^²", "y", ""]),
+        st.integers(0, 10**30).map(lambda k: f"x^{k}"),
+    ),
+    max_size=5,
+).map("+".join)
+
+
+@given(st.one_of(st.text(), _poly_text, st.text(alphabet="0123456789abcdefABCDEF \t")))
+def test_poly_parsers_raise_only_value_error(text):
+    for parse, render in ((PolyGF2.parse, PolyGF2.to_text), (PolyGF2.from_hex, PolyGF2.to_hex)):
+        try:
+            p = parse(text)
+        except ValueError:
+            continue
+        if p.degree < 4096:  # to_text is quadratic in the degree
+            assert parse(render(p)) == p
 
 
 # Each command's optional argument groups; FILE options name files in a

@@ -34,6 +34,11 @@ def test_factored_route_matches_unreduced_gcd():
         assert d_of_n(n) == _d_and_delta(n)[0], f"n={n}"
 
 
+def test_table_shares_gcds_without_changing_rows():
+    # table computes each odd part's GCD once; every row must match d_of_n alone
+    assert table(3000) == [nullity_record(n) for n in range(1, 3001)]
+
+
 @pytest.mark.slow
 def test_factored_route_matches_unreduced_gcd_extended():
     for n in range(2001, 20001):

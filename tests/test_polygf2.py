@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from fibgrid import (
     ore_product_gcd,
     subst_x_plus_1,
 )
+from fibgrid.polygf2 import MAX_PARSE_DEGREE, _descend_bits, _mul_bits, _subst_bits
 
 P = PolyGF2.parse
 
@@ -144,6 +147,19 @@ def test_validation():
         P("x^\u00b2")
 
 
+def test_parse_bounds_the_exponent():
+    # neither an OverflowError nor a huge allocation: the exponent is refused first
+    for text in ("x^99999999999999999999", "x^4300000000", f"x^{MAX_PARSE_DEGREE + 1}"):
+        with pytest.raises(ValueError, match="exceeds"):
+            P(text)
+    assert P(f"x^{MAX_PARSE_DEGREE}").degree == MAX_PARSE_DEGREE
+    assert P("x^" + "0" * 5000 + "7") == P("x^7")
+    # many terms near the bound cost one buffer, not one big-int copy each
+    top = [MAX_PARSE_DEGREE - k for k in range(0, 6000, 3)]
+    p = P(" + ".join(f"x^{k}" for k in top))
+    assert p.degree == MAX_PARSE_DEGREE and p.bits.bit_count() == len(top)
+
+
 # -- formats ------------------------------------------------------------------
 
 
@@ -243,6 +259,52 @@ def test_subst_involution(p):
 def test_subst_is_ring_homomorphism(p, q):
     assert subst_x_plus_1(p + q) == subst_x_plus_1(p) + subst_x_plus_1(q)
     assert subst_x_plus_1(p * q) == subst_x_plus_1(p) * subst_x_plus_1(q)
+
+
+# -- descent to y = x^2 + x ------------------------------------------------------
+
+
+def ascend(p: int) -> int:
+    """p(x^2 + x) by Horner's rule in y = x^2 + x."""
+    z = 0
+    for i in range(p.bit_length() - 1, -1, -1):
+        z = _mul_bits(z, 0b110) ^ (p >> i & 1)
+    return z
+
+
+def test_descend_inverts_ascend():
+    rng = random.Random(5)
+    cases = [0, 1, 2, 3]
+    cases += [rng.getrandbits(rng.randrange(601)) for _ in range(200)]
+    # top bit at a power of two and either side of it, where the blocks change size
+    for j in range(1, 11):
+        for nbits in (2**j - 1, 2**j, 2**j + 1):
+            cases.append(rng.getrandbits(nbits) | 1 << (nbits - 1))
+    for p in cases:
+        z = ascend(p)
+        assert _subst_bits(z) == z
+        assert _descend_bits(z) == p, hex(p)
+
+
+@given(polys)
+def test_descend_inverts_ascend_property(p):
+    assert _descend_bits(ascend(p.bits)) == p.bits
+
+
+@given(polys)
+def test_descend_refuses_what_x_plus_1_moves(p):
+    if _subst_bits(p.bits) == p.bits:
+        assert ascend(_descend_bits(p.bits)) == p.bits
+    else:
+        with pytest.raises(ValueError):
+            _descend_bits(p.bits)
+
+
+def test_descend_refuses_pinned_non_invariants():
+    # x, x^3 and x^2 + x + x^4 move under x -> x+1; so does anything of odd degree
+    for z in (0b10, 0b1000, 0b10110, 1 << 601, ascend(0b1011) ^ 1 << 9):
+        with pytest.raises(ValueError):
+            _descend_bits(z)
 
 
 @given(polys)

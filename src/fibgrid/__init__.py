@@ -9,7 +9,6 @@ identities and open conjectures that the nullity sequence satisfies.
 
 from .checks import DEFAULT_DEGREE_CAP, SWEEPS, Case, Report, to_text
 from .fibpoly import (
-    divisibility_index,
     fib_binomial,
     fib_hmp,
     fib_recursive,
@@ -22,7 +21,6 @@ from .nullity import (
     delta_closed_form,
     delta_via_gcd,
     format_csv,
-    nullity_record,
     table,
 )
 from .polygf2 import (
@@ -30,10 +28,7 @@ from .polygf2 import (
     X,
     ZERO,
     PolyGF2,
-    add,
-    divrem,
     gcd,
-    mul,
     ore_product_gcd,
     subst_x_plus_1,
 )
@@ -46,9 +41,6 @@ __all__ = [
     "ZERO",
     "ONE",
     "X",
-    "add",
-    "mul",
-    "divrem",
     "gcd",
     "subst_x_plus_1",
     "ore_product_gcd",
@@ -56,12 +48,10 @@ __all__ = [
     "fib_binomial",
     "fib_hmp",
     "fib_sequence",
-    "divisibility_index",
     "NullityRecord",
     "d_of_n",
     "delta_closed_form",
     "delta_via_gcd",
-    "nullity_record",
     "table",
     "format_csv",
     "LightState",

@@ -6,13 +6,14 @@ with the documented defaults in its signature, and returns a list of
 Reports.  SWEEPS maps the CLI name of each sweep to its function, in the
 order `verify all` runs them.
 
-Which route each sweep reads: d_of_n, the factored fast route that ends
-its GCD in GF(2)[y], y = x^2 + x, is checked by `oracle` against the
-light-chasing nullity of `GridSystem`, which builds no polynomial, and is
-the value under test in `all2` and `powers`.  `recurrence`, `delta` and
-`equivalence` check identities that d_of_n uses to reduce its GCD, so they
-read the unreduced full-degree GCD in GF(2)[x] (`_d_and_delta`) and never
-d_of_n.
+Which route each sweep reads: d_of_n, the factored fast route, is checked
+by `oracle` against the light-chasing nullity of `GridSystem`, which builds
+no polynomial, and is the value under test in `all2` and `powers`.
+`recurrence`, `delta` and `equivalence` check identities that d_of_n uses
+to factor f_{n+1}, so they read `_d_and_delta` and never d_of_n: it runs
+the same descent to GF(2)[y], y = x^2 + x, on the unreduced f_{n+1}, which
+rests only on the GCD being fixed by x -> x+1, and takes delta from the
+multiplicities of x and x+1 in f_{n+1}, not from the mod-3 closed form.
 
 Two kinds of report share one type.  A conjecture check (scope None) keeps
 every case and renders as a per-case table.  A range sweep sets scope to a
@@ -208,6 +209,10 @@ def powers(
 
     Tests every odd a in 3..amax outside the excluded residues and every
     k in 1..kmax with a^k <= degree_cap; excluded a contribute no cases.
+
+    The conjecture as stated is false: at a = 57, d(56) = 0 but
+    d(3248) = 36, so amax >= 57 with kmax >= 2 and degree_cap >= 3249
+    reports a failing case.  The default amax of 51 stops below it.
     """
     _require("amax", amax, 3)
     _require("kmax", kmax)
@@ -231,8 +236,9 @@ def equivalence(*, kmax: int = 8) -> list[Report]:
 
     Each k contributes a "link" case comparing the measured d(2*3^k - 1)
     against the combination, and a "delta" case pinning delta(3^k - 1) = 2.
-    Every value comes from the unreduced GCD: d_of_n builds the identity
-    into its factored form, so it would check nothing here.
+    Every value comes from _d_and_delta on the unreduced f_{n+1}: d_of_n
+    builds the identity into its factored form, so it would check nothing
+    here.
     """
     _require("kmax", kmax)
     cases = []

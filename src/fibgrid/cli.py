@@ -30,8 +30,8 @@ _METHODS = {"recursive": fib_recursive, "binomial": fib_binomial, "hmp": fib_hmp
 # kernel_basis() within 1 GiB: at most n vectors of n*n bits, 2000^3 bits
 # being 0.93 GiB.  d's GCD runs in GF(2)[x^2 + x] at half the degree of
 # f_{n+1}'s odd part and is still quadratic, about 8 s at 2,000,000 on a
-# shared 2-core machine.  fib's default recursive method and the text
-# output are quadratic in n, about 50 s at 1,000,000 with --all-methods.
+# shared 2-core machine.  fib's default recursive method is quadratic in n,
+# about 25 s at 1,000,000, with or without --all-methods.
 # table runs one GCD per odd part of n + 1, about 30 s at 30,000.  A raster
 # of ROWS rows prints 2*ROWS^2 characters, 32 MiB at 4096.
 _LIMITS = {

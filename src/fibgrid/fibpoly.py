@@ -1,22 +1,20 @@
 """The Fibonacci polynomial family over GF(2), built by three independent routes.
 
 f_0 = 0, f_1 = 1, f_n = x*f_{n-1} + f_{n-2}.  Over GF(2) the family is
-strictly divisibility-ordered (f_m | f_n whenever m | n), which the
-divisibility scanner below exploits.
+strictly divisibility-ordered (f_m | f_n whenever m | n).
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from .polygf2 import PolyGF2, _mod_bits, _square_bits
+from .polygf2 import PolyGF2, _square_bits
 
 __all__ = [
     "fib_recursive",
     "fib_binomial",
     "fib_hmp",
     "fib_sequence",
-    "divisibility_index",
 ]
 
 
@@ -84,22 +82,3 @@ def fib_hmp(n: int) -> PolyGF2:
         raise ValueError("index must be >= 1")
     return PolyGF2(_fib_pair(n)[0])
 
-
-def divisibility_index(tau: PolyGF2, search_bound: int) -> int | None:
-    """Smallest n in 1..search_bound with tau dividing f_n, or None if there is none.
-
-    When that index v exists, tau divides f_m exactly when v divides m.
-    The scan runs the recurrence on residues mod tau, costing O(deg tau)
-    words per step independent of n.
-    """
-    if tau.degree < 1:
-        raise ValueError("tau must have degree >= 1")
-    if search_bound < 1:
-        raise ValueError("search_bound must be >= 1")
-    t = tau.bits
-    prev, cur = 0, 1  # residues of f_0, f_1 (deg tau >= 1 keeps 1 reduced)
-    for n in range(1, search_bound + 1):
-        if cur == 0:
-            return n
-        prev, cur = cur, _mod_bits((cur << 1) ^ prev, t)
-    return None

@@ -71,32 +71,28 @@ class LightState:
             raise StateFormatError(
                 f"expected {n} row lines, found {len(lines) - 1}", len(lines) + 1, 1
             )
-        bits = 0
-        for r in range(n):
-            row = lines[1 + r]
+        rows = lines[1 : n + 1]
+        for r, row in enumerate(rows):
             lineno = 2 + r
             if len(row) != n:
                 raise StateFormatError(
                     f"row has {len(row)} cells, expected {n}", lineno, min(len(row), n) + 1
                 )
-            for c, ch in enumerate(row):
-                if ch == "1":
-                    bits |= 1 << (r * n + c)
-                elif ch != "0":
-                    raise StateFormatError(f"cell must be 0 or 1, got {ch!r}", lineno, c + 1)
+            if row.count("0") + row.count("1") != n:
+                c = next(c for c, ch in enumerate(row) if ch not in "01")
+                raise StateFormatError(f"cell must be 0 or 1, got {row[c]!r}", lineno, c + 1)
         for extra in range(n + 1, len(lines)):
             if lines[extra].strip():
                 raise StateFormatError("unexpected content after the board", extra + 1, 1)
-        return cls(n, bits)
+        # character r*n + c is cell (r, c), bit r*n + c: one parse, reversed
+        return cls(n, int("".join(rows)[::-1], 2))
 
     def to_text(self) -> str:
         """Exchange format: the side length, then one 0/1 line per row, LF endings."""
-        out = [str(self.n)]
-        for r in range(self.n):
-            out.append(
-                "".join("1" if self.bits >> (r * self.n + c) & 1 else "0" for c in range(self.n))
-            )
-        return "\n".join(out) + "\n"
+        n = self.n
+        cells = format(self.bits, f"0{n * n}b")[::-1]  # character i is bit i
+        rows = [cells[i : i + n] for i in range(0, n * n, n)]
+        return "\n".join([str(n), *rows]) + "\n"
 
     def __str__(self) -> str:
         return self.to_text()

@@ -4,17 +4,18 @@ The all-press matrix of the n x n grid has nullity
 d_n = deg gcd(f_{n+1}(x), f_{n+1}(x+1)) over GF(2), so the whole table
 reduces to one GCD per side length.  The correction term
 delta_n = d_{2n+1} - 2 d_n is always 0 or 2 and has both a closed form
-(2 exactly when 3 | n+1) and a direct GCD form; both are provided, and
-the sweeps in checks tie everything together.
+(2 exactly when 3 | n+1) and a direct form from the multiplicities of x
+and x+1 in f_{n+1}; both are provided, and the sweeps in checks tie
+everything together.
 
-Two routes compute the GCD.  d_of_n, used by the table and the CLI, runs
-it on a factored f_{n+1} at half the degree of its odd part, and after one
-Euclid step descends to y = x^2 + x, halving the degree again: the GCD is
-fixed by x -> x+1, and the polynomials that map fixes are the polynomials
-in y.  _d_and_delta runs it unreduced at full degree, with neither
-reduction; it is the reference that the identity sweeps (recurrence,
-delta, equivalence) read, because d_of_n's reductions rest on those same
-identities.
+One routine, _sigma_gcd_degree, computes every deg gcd(p(x), p(x+1)):
+after one Euclid step it descends to y = x^2 + x, halving the degree,
+because the GCD is fixed by x -> x+1 and the polynomials that map fixes
+are the polynomials in y.  Two routes feed it.  d_of_n, used by the table
+and the CLI, passes a factored f_{n+1} at half the degree of its odd part.
+_d_and_delta passes the unreduced f_{n+1}; it is the reference that the
+identity sweeps (recurrence, delta, equivalence) read, because d_of_n's
+factoring rests on those same identities and the descent does not.
 """
 
 from __future__ import annotations
@@ -24,14 +25,13 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .fibpoly import _fib_pair, fib_hmp
-from .polygf2 import _descend_bits, _divmod_bits, _gcd_bits, _mod_bits, _subst_bits
+from .polygf2 import _descend_bits, _gcd_bits, _mod_bits, _subst_bits
 
 __all__ = [
     "NullityRecord",
     "d_of_n",
     "delta_closed_form",
     "delta_via_gcd",
-    "nullity_record",
     "table",
     "format_csv",
 ]
@@ -42,8 +42,8 @@ def _require_side(n: int) -> None:
         raise ValueError("grid side length must be >= 1")
 
 
-def _odd_gcd_degree(b: int) -> int:
-    """deg gcd(h, h(x+1)) for odd b, where h = f_m + f_{m+1} and m = (b-1)/2.
+def _sigma_gcd_degree(h: int) -> int:
+    """deg gcd(h, h(x+1)) for nonzero h.
 
     Write sigma for x -> x+1, an involution; the polynomials it fixes are
     exactly the polynomials in y = x^2 + x.  Euclid's first step replaces
@@ -54,8 +54,6 @@ def _odd_gcd_degree(b: int) -> int:
     rest of Euclid runs on s and rho, at half the degree.  S = 0 means h is
     fixed by sigma and is its own GCD.
     """
-    lo, hi = _fib_pair(b >> 1)
-    h = lo ^ hi
     big_s = h ^ _subst_bits(h)
     if not big_s:
         return h.bit_length() - 1
@@ -66,6 +64,12 @@ def _odd_gcd_degree(b: int) -> int:
     p = _descend_bits(big_s ^ (r << half) ^ (r << 2 * half))
     s, rho = p & ((1 << half) - 1), p >> half
     return 2 * (_gcd_bits(s, rho).bit_length() - 1)
+
+
+def _odd_gcd_degree(b: int) -> int:
+    """deg gcd(h, h(x+1)) for odd b, where h = f_m + f_{m+1} and m = (b-1)/2."""
+    lo, hi = _fib_pair(b >> 1)
+    return _sigma_gcd_degree(lo ^ hi)
 
 
 def _d_from(n: int, odd_gcd_degree: Callable[[int], int]) -> int:
@@ -99,19 +103,25 @@ def delta_closed_form(n: int) -> int:
 
 
 def _d_and_delta(n: int) -> tuple[int, int]:
-    """One GCD serves both: d = deg g, delta = 2 * deg gcd(x, f_{n+1}(x+1)/g)."""
+    """(d_n, delta_n) from the unreduced f = f_{n+1}, by no doubling identity.
+
+    d_n is _sigma_gcd_degree(f), which rests only on gcd(f, f(x+1)) being
+    fixed by x -> x+1.  delta_n = 2 deg gcd(x, f(x+1)/g), g = gcd(f, f(x+1)).
+    The x multiplicity of g is the smaller of those of f and f(x+1), and
+    that of f(x+1) is the x+1 multiplicity of f.  So x divides f(x+1)/g
+    exactly when x divides f(x+1) more often than it divides f.
+    """
     f = fib_hmp(n + 1).bits
     fs = _subst_bits(f)
-    g = _gcd_bits(f, fs)
-    quot = _divmod_bits(fs, g)[0]  # exact: g divides fs
-    # gcd(x, quot) is x precisely when quot has no constant term
-    return g.bit_length() - 1, 0 if quot & 1 else 2
+    # z & -z is x^(x multiplicity of z)
+    return _sigma_gcd_degree(f), 2 if fs & -fs > f & -f else 0
 
 
 def delta_via_gcd(n: int) -> int:
     """delta_n from its division form, 2 * deg gcd(x, f_{n+1}(x+1) / g).
 
-    Here g = gcd(f_{n+1}(x), f_{n+1}(x+1)); the quotient is exact.
+    Here g = gcd(f_{n+1}(x), f_{n+1}(x+1)); the x multiplicities of
+    f_{n+1}(x) and f_{n+1}(x+1) decide it without dividing (_d_and_delta).
     """
     _require_side(n)
     return _d_and_delta(n)[1]
@@ -124,12 +134,6 @@ class NullityRecord:
     n: int
     d: int
     delta: int
-
-
-def nullity_record(n: int) -> NullityRecord:
-    """Record for one side length; d by the GCD route, delta by the closed form."""
-    _require_side(n)
-    return NullityRecord(n, d_of_n(n), delta_closed_form(n))
 
 
 def table(n_max: int) -> list[NullityRecord]:

@@ -17,9 +17,6 @@ __all__ = [
     "ZERO",
     "ONE",
     "X",
-    "add",
-    "mul",
-    "divrem",
     "gcd",
     "subst_x_plus_1",
     "ore_product_gcd",
@@ -213,23 +210,6 @@ class PolyGF2:
     # construction
 
     @classmethod
-    def monomial(cls, k: int) -> "PolyGF2":
-        """x**k."""
-        if k < 0:
-            raise ValueError("exponent must be nonnegative")
-        return cls(1 << k)
-
-    @classmethod
-    def from_coeffs(cls, coeffs) -> "PolyGF2":
-        """Build from an iterable of 0/1 coefficients, lowest degree first."""
-        bits = 0
-        for i, c in enumerate(coeffs):
-            if c not in (0, 1):
-                raise ValueError("coefficients must be 0 or 1")
-            bits |= c << i
-        return cls(bits)
-
-    @classmethod
     def parse(cls, text: str) -> "PolyGF2":
         """Inverse of to_text: terms 1, x, x^k joined by +, or the single term 0.
 
@@ -287,10 +267,13 @@ class PolyGF2:
         """Canonical text form: terms in descending degree joined by " + "."""
         if not self.bits:
             return "0"
+        digits = bin(self.bits)[2:]  # character i is the coefficient of x^(degree - i)
         terms = []
-        for k in range(self.degree, -1, -1):
-            if self.bits >> k & 1:
-                terms.append("x^%d" % k if k >= 2 else ("x" if k == 1 else "1"))
+        i = digits.find("1")
+        while i >= 0:
+            k = len(digits) - 1 - i
+            terms.append("x^%d" % k if k >= 2 else ("x" if k == 1 else "1"))
+            i = digits.find("1", i + 1)
         return " + ".join(terms)
 
     def to_hex(self) -> str:
@@ -370,25 +353,6 @@ X = PolyGF2(2)
 
 
 # -- module-level operations -------------------------------------------------
-
-
-def add(p: PolyGF2, q: PolyGF2) -> PolyGF2:
-    """Sum over GF(2): coefficient-wise XOR.  Every element is its own negative."""
-    return PolyGF2(p.bits ^ q.bits)
-
-
-def mul(p: PolyGF2, q: PolyGF2) -> PolyGF2:
-    """Product; degrees add for nonzero operands (no zero divisors)."""
-    return PolyGF2(_mul_bits(p.bits, q.bits))
-
-
-def divrem(p: PolyGF2, q: PolyGF2) -> tuple[PolyGF2, PolyGF2]:
-    """Quotient and remainder with p == q*quot + rem and deg rem < deg q.
-
-    Raises ZeroDivisionError when q is the zero polynomial.
-    """
-    quot, rem = _divmod_bits(p.bits, q.bits)
-    return PolyGF2(quot), PolyGF2(rem)
 
 
 def gcd(p: PolyGF2, q: PolyGF2) -> PolyGF2:

@@ -12,7 +12,6 @@ from fibgrid import (
     X,
     ZERO,
     PolyGF2,
-    divisibility_index,
     fib_binomial,
     fib_hmp,
     fib_recursive,
@@ -82,18 +81,6 @@ def test_gcd_of_family_follows_index_gcd():
         assert gcd(fib_hmp(m), fib_hmp(n)) == fib_hmp(math.gcd(m, n))
 
 
-def test_divisibility_index_examples():
-    assert divisibility_index(X, 100) == 2
-    assert divisibility_index(P("x + 1"), 100) == 3
-    assert divisibility_index(P("x^2 + x + 1"), 100) == 5
-    assert divisibility_index(P("x^2 + x + 1"), 4) is None
-    assert divisibility_index(P("x^2 + 1"), 100) == 3  # (x+1)^2 divides f_3 already
-    with pytest.raises(ValueError):
-        divisibility_index(ONE, 100)
-    with pytest.raises(ValueError):
-        divisibility_index(X, 0)
-
-
 def test_divisibility_is_periodic():
     # once tau first divides f_v, it divides f_m exactly for multiples of v
     taus = [
@@ -104,7 +91,6 @@ def test_divisibility_is_periodic():
         (P("x^3 + x + 1"), 9),
     ]
     for tau, v in taus:
-        assert divisibility_index(tau, 50) == v
         for m, f in enumerate(fib_sequence(300)):
             if m == 0:
                 continue

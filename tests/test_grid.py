@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import threading
+import time
 
 import pytest
 
@@ -208,6 +209,23 @@ def test_state_round_trip():
     assert LightState.from_text("2\n11\n11\n") == LightState.all_on(2)
     # trailing blank lines are tolerated, content is not
     assert LightState.from_text("1\n1\n\n") == LightState(1, 1)
+
+
+def test_state_text_matches_cell_by_cell():
+    rng = random.Random(3)
+    for n in range(1, 30):
+        state = LightState(n, rng.getrandbits(n * n))
+        rows = ["".join(str(state.bits >> (r * n + c) & 1) for c in range(n)) for r in range(n)]
+        assert state.to_text() == "\n".join([str(n), *rows]) + "\n"
+        assert LightState.from_text(state.to_text()) == state
+
+
+def test_state_text_round_trip_at_n_1000():
+    # one binary string each way, not one n*n-bit int operation per cell
+    state = LightState.all_on(1000)
+    start = time.perf_counter()
+    assert LightState.from_text(state.to_text()) == state
+    assert time.perf_counter() - start < 1.0
 
 
 def test_state_validation():

@@ -14,7 +14,6 @@ from fibgrid import (
     fib_hmp,
     format_csv,
     gcd,
-    nullity_record,
     subst_x_plus_1,
     table,
 )
@@ -36,7 +35,9 @@ def test_factored_route_matches_unreduced_gcd():
 
 def test_table_shares_gcds_without_changing_rows():
     # table computes each odd part's GCD once; every row must match d_of_n alone
-    assert table(3000) == [nullity_record(n) for n in range(1, 3001)]
+    assert table(3000) == [
+        NullityRecord(n, d_of_n(n), delta_closed_form(n)) for n in range(1, 3001)
+    ]
 
 
 @pytest.mark.slow
@@ -59,6 +60,20 @@ def test_powers_under_degree_cap_one_million():
     assert len(report.cases) == 106
 
 
+def test_powers_conjecture_fails_at_57():
+    # 57 is odd and 21 does not divide it, yet d(57 - 1) != d(57^2 - 1);
+    # the unreduced route agrees with the factored one
+    assert d_of_n(56) == 0
+    assert d_of_n(3248) == 36
+    assert _d_and_delta(3248) == (36, 2)
+
+
+@pytest.mark.slow
+def test_powers_counterexample_by_light_chasing():
+    # light chasing builds no polynomial
+    assert GridSystem(3248).nullity() == 36
+
+
 def test_delta_examples():
     assert delta_closed_form(1) == 0
     assert delta_closed_form(2) == 2
@@ -74,7 +89,7 @@ def test_two_delta_routes_agree():
 
 
 def test_validation():
-    for fn in (d_of_n, delta_closed_form, delta_via_gcd, nullity_record, table):
+    for fn in (d_of_n, delta_closed_form, delta_via_gcd, table):
         with pytest.raises(ValueError):
             fn(0)
     with pytest.raises(ValueError):
@@ -82,7 +97,7 @@ def test_validation():
 
 
 def test_records_and_csv():
-    assert nullity_record(5) == NullityRecord(5, 2, 2)
+    assert table(5)[4] == NullityRecord(5, 2, 2)
     assert table(1) == [NullityRecord(1, 0, 0)]
     assert format_csv(table(5)) == "n,d,delta\n1,0,0\n2,0,2\n3,0,0\n4,4,0\n5,2,2\n"
 
@@ -131,6 +146,7 @@ def test_branch_multiplicities_vanish_together():
         right = 1 if q2.coefficient(0) == 0 else 0  # deg gcd(x, q2)
         assert left == right, f"n={n}"
         assert 2 * right == delta_via_gcd(n)
+        assert g.degree == _d_and_delta(n)[0]
 
 
 def test_oracle_agreement_small(grid_cache):

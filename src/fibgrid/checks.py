@@ -23,13 +23,15 @@ one line.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
 
 from .fibpoly import fib_hmp
 from .grid import GridSystem
-from .nullity import _d_and_delta, d_of_n, delta_closed_form, delta_via_gcd
+from .nullity import _d_and_delta, _d_from, _odd_gcd_degree, d_of_n
+from .nullity import delta_closed_form, delta_via_gcd
 from .polygf2 import PolyGF2, gcd, ore_product_gcd
 
 __all__ = [
@@ -217,17 +219,19 @@ def powers(
     _require("amax", amax, 3)
     _require("kmax", kmax)
     _require("degree_cap", degree_cap, 3)
+    # d_of_n with one GCD per odd part: k = 1 repeats base, and 9, 25, 27, 49 repeat 3, 5, 7
+    d = functools.partial(_d_from, odd_gcd_degree=functools.cache(_odd_gcd_degree))
     cases = []
     for a in range(3, amax + 1, 2):
         if a % 21 == 0:
             continue  # outside the conjecture's hypothesis
-        base = d_of_n(a - 1)
+        base = d(a - 1)
         power = 1
         for k in range(1, kmax + 1):
             power *= a
             if power > degree_cap:
                 break
-            cases.append(Case(f"a={a};k={k};n={power - 1}", base, d_of_n(power - 1)))
+            cases.append(Case(f"a={a};k={k};n={power - 1}", base, d(power - 1)))
     return [Report("powers", tuple(cases))]
 
 

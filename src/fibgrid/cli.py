@@ -32,7 +32,7 @@ _METHODS = {"recursive": fib_recursive, "binomial": fib_binomial, "hmp": fib_hmp
 # f_{n+1}'s odd part and is still quadratic, about 8 s at 2,000,000 on a
 # shared 2-core machine.  fib's default recursive method is quadratic in n,
 # about 25 s at 1,000,000, with or without --all-methods.
-# table runs one GCD per odd part of n + 1, about 30 s at 30,000.  A raster
+# table runs one GCD per odd part of n + 1, about 24 s at 30,000.  A raster
 # of ROWS rows prints 2*ROWS^2 characters, 32 MiB at 4096.
 _LIMITS = {
     "fib": ("n", 1_000_000),

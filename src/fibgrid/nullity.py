@@ -11,8 +11,10 @@ everything together.
 One routine, _sigma_gcd_degree, computes every deg gcd(p(x), p(x+1)):
 after one Euclid step it descends to y = x^2 + x, halving the degree,
 because the GCD is fixed by x -> x+1 and the polynomials that map fixes
-are the polynomials in y.  Two routes feed it.  d_of_n, used by the table
-and the CLI, passes a factored f_{n+1} at half the degree of its odd part.
+are the polynomials in y.  Each caller passes p and p(x+1).  d_of_n
+passes a factor of f_{n+1} at half the degree of its odd part, built by the
+doubling ladder; table streams that factor for each odd part in turn by
+the defining recurrence.
 _d_and_delta passes the unreduced f_{n+1}; it is the reference that the
 identity sweeps (recurrence, delta, equivalence) read, because d_of_n's
 factoring rests on those same identities and the descent does not.
@@ -20,12 +22,12 @@ factoring rests on those same identities and the descent does not.
 
 from __future__ import annotations
 
-import functools
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .fibpoly import _fib_pair, fib_hmp
-from .polygf2 import _descend_bits, _gcd_bits, _mod_bits, _subst_bits
+from .fibpoly import _fib_pair, fib_hmp, fib_sequence
+from .polygf2 import _descend_bits, _divmod_bits, _gcd_bits, _subst_bits
 
 __all__ = [
     "NullityRecord",
@@ -42,8 +44,8 @@ def _require_side(n: int) -> None:
         raise ValueError("grid side length must be >= 1")
 
 
-def _sigma_gcd_degree(h: int) -> int:
-    """deg gcd(h, h(x+1)) for nonzero h.
+def _sigma_gcd_degree(h: int, hs: int) -> int:
+    """deg gcd(h, h(x+1)) for nonzero h, given hs = h(x+1).
 
     Write sigma for x -> x+1, an involution; the polynomials it fixes are
     exactly the polynomials in y = x^2 + x.  Euclid's first step replaces
@@ -54,10 +56,10 @@ def _sigma_gcd_degree(h: int) -> int:
     rest of Euclid runs on s and rho, at half the degree.  S = 0 means h is
     fixed by sigma and is its own GCD.
     """
-    big_s = h ^ _subst_bits(h)
+    big_s = h ^ hs
     if not big_s:
         return h.bit_length() - 1
-    r = _mod_bits(h, big_s)
+    r = _divmod_bits(h, big_s)[1]
     # half is a power of two above deg s = deg S / 2.  One descent of
     # S + (x^2 + x)^half r = S + (x^(2 half) + x^half) r gives s + y^half rho.
     half = 1 << (big_s.bit_length() >> 1).bit_length()
@@ -69,7 +71,8 @@ def _sigma_gcd_degree(h: int) -> int:
 def _odd_gcd_degree(b: int) -> int:
     """deg gcd(h, h(x+1)) for odd b, where h = f_m + f_{m+1} and m = (b-1)/2."""
     lo, hi = _fib_pair(b >> 1)
-    return _sigma_gcd_degree(lo ^ hi)
+    h = lo ^ hi
+    return _sigma_gcd_degree(h, _subst_bits(h))
 
 
 def _d_from(n: int, odd_gcd_degree: Callable[[int], int]) -> int:
@@ -114,7 +117,7 @@ def _d_and_delta(n: int) -> tuple[int, int]:
     f = fib_hmp(n + 1).bits
     fs = _subst_bits(f)
     # z & -z is x^(x multiplicity of z)
-    return _sigma_gcd_degree(f), 2 if fs & -fs > f & -f else 0
+    return _sigma_gcd_degree(f, fs), 2 if fs & -fs > f & -f else 0
 
 
 def delta_via_gcd(n: int) -> int:
@@ -137,12 +140,18 @@ class NullityRecord:
 
 
 def table(n_max: int) -> list[NullityRecord]:
-    """Records for every n in 1..n_max, in order."""
+    """Records for every n in 1..n_max, in order.
+
+    Rows whose n + 1 share an odd part 2m + 1 share one GCD, on h = f_m +
+    f_{m+1}, which is streamed by the recurrence where d_of_n runs the ladder.
+    """
     _require_side(n_max)
-    # rows whose n + 1 share an odd part share their GCD
-    odd_gcd_degree = functools.cache(_odd_gcd_degree)
+    degrees = []  # degrees[m]: deg gcd(h, h(x+1)) for the odd part 2m + 1
+    for lo, hi in itertools.pairwise(fib_sequence(n_max // 2 + 1)):
+        h = lo.bits ^ hi.bits
+        degrees.append(_sigma_gcd_degree(h, _subst_bits(h)))
     return [
-        NullityRecord(n, _d_from(n, odd_gcd_degree), delta_closed_form(n))
+        NullityRecord(n, _d_from(n, lambda b: degrees[b >> 1]), delta_closed_form(n))
         for n in range(1, n_max + 1)
     ]
 

@@ -9,6 +9,7 @@ Every nonzero polynomial is monic, which makes GCDs unique outright.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 __all__ = [
@@ -48,29 +49,27 @@ def _divmod_bits(a: int, b: int) -> tuple[int, int]:
         raise ZeroDivisionError("division by zero polynomial")
     nb = b.bit_length()
     na = a.bit_length()
-    q = 0
+    q = bytearray(max(na - nb + 8, 0) // 8)  # an int would be copied per quotient bit
     while na >= nb:
         shift = na - nb
-        q |= 1 << shift
+        q[shift >> 3] |= 1 << (shift & 7)
         a ^= b << shift
         na = a.bit_length()
-    return q, a
-
-
-def _mod_bits(a: int, b: int) -> int:
-    if b == 0:
-        raise ZeroDivisionError("division by zero polynomial")
-    nb = b.bit_length()
-    na = a.bit_length()
-    while na >= nb:
-        a ^= b << (na - nb)
-        na = a.bit_length()
-    return a
+    return int.from_bytes(q, "little"), a
 
 
 def _gcd_bits(a: int, b: int) -> int:
-    while b:
-        a, b = b, _mod_bits(a, b)
+    """Euclid, with a and b trading roles between two inlined remainder loops."""
+    na, nb = a.bit_length(), b.bit_length()
+    while nb:
+        while na >= nb:  # a mod b
+            a ^= b << (na - nb)
+            na = a.bit_length()
+        if not na:
+            return b
+        while nb >= na:  # b mod a
+            b ^= a << (nb - na)
+            nb = b.bit_length()
     return a
 
 
@@ -152,6 +151,17 @@ def _descent_tables() -> tuple[bytes, bytes, bytes]:
 _DESCEND_LOW, _DESCEND_HIGH, _INVARIANT_BYTES = _descent_tables()
 
 
+def _block_mask(k: int, t: int, blocks: int) -> int:
+    """Ones on bits [t, k t) of each of the given number of blocks of 4t bits."""
+    return int.from_bytes(((1 << k * t) - (1 << t)).to_bytes(t >> 1, "little") * blocks, "little")
+
+
+# Descents on at most this many bytes keep their masks, which take longer to
+# build than the folds; above it, masks (200 KiB at 8 KiB) are rebuilt, not held.
+_DESCENT_CACHE_BYTES = 1024
+_cached_block_mask = functools.cache(_block_mask)
+
+
 def _descend_bits(z: int) -> int:
     """Map p(x^2 + x) to p: the inverse of substituting y = x^2 + x.
 
@@ -168,14 +178,12 @@ def _descend_bits(z: int) -> int:
     if z == 0:
         return 0
     nbytes = 1 << ((z.bit_length() - 1) >> 3).bit_length()  # a power of two
+    mask = _cached_block_mask if nbytes <= _DESCENT_CACHE_BYTES else _block_mask
     t = 2 * nbytes  # the top level: one block of 4t bits holds all of z
     while t > 2:
-        # ones on bits [t, 2t) and [t, 3t) of each block of t/2 bytes
-        low = ((1 << 2 * t) - (1 << t)).to_bytes(t >> 1, "little")
-        mid = ((1 << 3 * t) - (1 << t)).to_bytes(t >> 1, "little")
-        reps = 2 * nbytes // t
-        z ^= (z >> 2 * t) & int.from_bytes(low * reps, "little")
-        z ^= (z >> t) & int.from_bytes(mid * reps, "little")
+        blocks = 2 * nbytes // t
+        z ^= (z >> 2 * t) & mask(2, t, blocks)
+        z ^= (z >> t) & mask(3, t, blocks)
         t >>= 1
     data = z.to_bytes(nbytes, "little")
     if data.translate(None, _INVARIANT_BYTES):
@@ -316,7 +324,7 @@ class PolyGF2:
     def __mod__(self, other: "PolyGF2") -> "PolyGF2":
         if not isinstance(other, PolyGF2):
             return NotImplemented
-        return PolyGF2(_mod_bits(self.bits, other.bits))
+        return PolyGF2(_divmod_bits(self.bits, other.bits)[1])
 
     def __lshift__(self, k: int) -> "PolyGF2":
         """Multiply by x**k."""

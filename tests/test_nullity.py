@@ -41,6 +41,14 @@ def test_table_shares_gcds_without_changing_rows():
 
 
 @pytest.mark.slow
+def test_streamed_table_matches_ladder_rows_to_12000():
+    # table streams h by the recurrence; d_of_n builds it by the ladder
+    assert table(12000) == [
+        NullityRecord(n, d_of_n(n), delta_closed_form(n)) for n in range(1, 12001)
+    ]
+
+
+@pytest.mark.slow
 def test_factored_route_matches_unreduced_gcd_extended():
     for n in range(2001, 20001):
         assert d_of_n(n) == _d_and_delta(n)[0], f"n={n}"

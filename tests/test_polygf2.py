@@ -17,7 +17,15 @@ from fibgrid import (
     ore_product_gcd,
     subst_x_plus_1,
 )
-from fibgrid.polygf2 import MAX_PARSE_DEGREE, _descend_bits, _mul_bits, _subst_bits
+from fibgrid.polygf2 import (
+    _DESCENT_CACHE_BYTES,
+    MAX_PARSE_DEGREE,
+    _cached_block_mask,
+    _descend_bits,
+    _gcd_bits,
+    _mul_bits,
+    _subst_bits,
+)
 
 P = PolyGF2.parse
 
@@ -243,6 +251,44 @@ def test_gcd_scales(p, q, r):
     assert gcd(p * r, q * r) == r * gcd(p, q)
 
 
+def reference_gcd(a: int, b: int) -> int:
+    """Textbook Euclid on PolyGF2 divmod, independent of _gcd_bits's fused loop."""
+    p, q = PolyGF2(a), PolyGF2(b)
+    while q:
+        p, q = q, divmod(p, q)[1]
+    return p.bits
+
+
+def test_gcd_bits_edge_cases():
+    f = P("x^5 + x^2 + 1").bits
+    g = P("x^3 + x + 1").bits
+    fg = _mul_bits(f, g)
+    cases = {
+        (0, 0): 0,
+        (f, 0): f,
+        (0, f): f,
+        (1, 0): 1,
+        (0, 1): 1,
+        (f, f): f,
+        (fg, g): g,  # one divides the other, in either order
+        (g, fg): g,
+        (fg, fg << 3): fg,
+        (g, f): 1,  # deg a < deg b
+        (_mul_bits(g, 0b11), fg): g,
+        (0b10, 0b110): 0b10,
+    }
+    for (a, b), want in cases.items():
+        assert _gcd_bits(a, b) == want == reference_gcd(a, b), (a, b)
+
+
+@given(polys, polys, small_polys)
+def test_gcd_bits_matches_reference_euclid(p, q, r):
+    # a shared factor r makes nontrivial GCDs common
+    for a, b in ((p.bits, q.bits), (_mul_bits(p.bits, r.bits), _mul_bits(q.bits, r.bits))):
+        assert _gcd_bits(a, b) == reference_gcd(a, b)
+        assert _gcd_bits(b, a) == reference_gcd(a, b)
+
+
 @given(polys)
 def test_subst_involution(p):
     assert subst_x_plus_1(subst_x_plus_1(p)) == p
@@ -278,6 +324,27 @@ def test_descend_inverts_ascend():
         z = ascend(p)
         assert _subst_bits(z) == z
         assert _descend_bits(z) == p, hex(p)
+
+
+def test_descend_round_trip_either_side_of_the_mask_cache():
+    rng = random.Random(11)
+    cases = []
+    # p of 2N + 1 and of 4N bits ascends to z of 4N + 1 and 8N - 1 bits: a descent on N bytes
+    for nbytes in (_DESCENT_CACHE_BYTES // 2, _DESCENT_CACHE_BYTES, 2 * _DESCENT_CACHE_BYTES):
+        for nbits in (2 * nbytes + 1, 4 * nbytes):
+            p = rng.getrandbits(nbits) | 1 << (nbits - 1)
+            cases.append((p, ascend(p)))
+    _cached_block_mask.cache_clear()
+    for _ in ("cold", "warm"):
+        for p, z in cases:
+            assert _descend_bits(z) == p
+            with pytest.raises(ValueError):
+                _descend_bits(z ^ 0b10)  # z + x is moved by x -> x+1
+        # only the two sizes at or below the cap keep theirs: two masks per
+        # level, at t = 2N, N, ..., 4 for a descent on N bytes
+        cached_sizes = (_DESCENT_CACHE_BYTES // 2, _DESCENT_CACHE_BYTES)
+        kept = sum(2 * ((2 * n).bit_length() - 2) for n in cached_sizes)
+        assert _cached_block_mask.cache_info().currsize == kept
 
 
 @given(polys)

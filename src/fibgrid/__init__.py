@@ -11,7 +11,6 @@ from .checks import DEFAULT_DEGREE_CAP, SWEEPS, Case, Report, to_text
 from .fibpoly import (
     fib_binomial,
     fib_hmp,
-    fib_recursive,
     fib_sequence,
 )
 from .grid import GridSystem, LightState, StateFormatError
@@ -44,7 +43,6 @@ __all__ = [
     "gcd",
     "subst_x_plus_1",
     "ore_product_gcd",
-    "fib_recursive",
     "fib_binomial",
     "fib_hmp",
     "fib_sequence",

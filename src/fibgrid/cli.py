@@ -10,30 +10,31 @@ are refused with status 2 before any work starts.
 from __future__ import annotations
 
 import argparse
+import collections
 import inspect
 import sys
 
 from .checks import SWEEPS, to_text
-from .fibpoly import fib_binomial, fib_hmp, fib_recursive
+from .fibpoly import fib_binomial, fib_hmp, fib_sequence
 from .grid import GridSystem, LightState, StateFormatError
 from .nullity import d_of_n, delta_closed_form, format_csv, table
-from .polygf2 import PolyGF2
 from .sierpinski import render, to_ascii, to_pbm
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-_METHODS = {"recursive": fib_recursive, "binomial": fib_binomial, "hmp": fib_hmp}
-
 # command -> (argument, largest accepted value).  A grid side n keeps
 # kernel_basis() within 1 GiB: at most n vectors of n*n bits, 2000^3 bits
 # being 0.93 GiB.  d's GCD runs in GF(2)[x^2 + x] at half the degree of
 # f_{n+1}'s odd part and is still quadratic, about 8 s at 2,000,000 on a
-# shared 2-core machine.  fib's default recursive method is quadratic in n,
-# about 25 s at 1,000,000, with or without --all-methods.
+# shared 2-core machine.  fib builds f_n by the linear ladder, but
+# --all-methods also runs the quadratic recurrence, about 25 s at 1,000,000.
 # table runs one GCD per odd part of n + 1, about 24 s at 30,000.  A raster
-# of ROWS rows prints 2*ROWS^2 characters, 32 MiB at 4096.
+# of ROWS rows prints 2*ROWS^2 characters, 32 MiB at 4096.  A verify sweep's
+# flag has the limit of the command building the same objects: fib for
+# hmp-gcd, oracle for oracle, d for all2 and equivalence (2*3^12 - 1 =
+# 1,062,881) and powers, table for recurrence (up to d_{2 nmax + 3}) and delta.
 _LIMITS = {
     "fib": ("n", 1_000_000),
     "d": ("n", 2_000_000),
@@ -41,6 +42,13 @@ _LIMITS = {
     "solve": ("n", 2000),
     "oracle": ("n", 2000),
     "sierpinski": ("rows", 4096),
+    "verify recurrence": ("nmax", 14_999),
+    "verify delta": ("nmax", 30_000),
+    "verify hmp-gcd": ("nmax", 1_000_000),
+    "verify oracle": ("nmax", 2000),
+    "verify all2": ("kmax", 12),
+    "verify powers": ("degree_cap", 2_000_000),
+    "verify equivalence": ("kmax", 12),
 }
 
 
@@ -58,30 +66,34 @@ def _decimal(minimum: int):
     return convert
 
 
-def _format_poly(p: PolyGF2, form: str) -> str:
-    return p.to_hex() if form == "hex" else p.to_text()
+def _write(command: str, path: str | None, text: str) -> int:
+    """Write text to the file at path, or to stdout when path is None."""
+    if path is None:
+        sys.stdout.write(text)
+        return EXIT_OK
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"{command}: cannot write {path}: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    return EXIT_OK
 
 
 # -- subcommand implementations ----------------------------------------------
 
 
 def cmd_fib(args: argparse.Namespace) -> int:
-    if args.n < 1 and (args.method == "hmp" and not args.all_methods):
-        print("fib: method hmp requires n >= 1", file=sys.stderr)
-        return EXIT_USAGE
+    f = fib_hmp(args.n)
     if args.all_methods:
-        names = ["recursive", "binomial"]
-        if args.n >= 1:
-            names.append("hmp")
-    else:
-        names = [args.method]
-    results = {name: _METHODS[name](args.n) for name in names}
-    values = set(p.bits for p in results.values())
-    if len(values) > 1:
-        detail = ", ".join(f"{name}: {p.to_text()}" for name, p in results.items())
-        print(f"fib: methods disagree for n={args.n}: {detail}", file=sys.stderr)
-        return EXIT_FAIL
-    print(_format_poly(results[names[0]], args.format))
+        # the recurrence's f_n ends its run; a one-slot deque keeps only that item
+        recursive = collections.deque(fib_sequence(args.n), maxlen=1)[0]
+        results = {"recursive": recursive, "binomial": fib_binomial(args.n), "hmp": f}
+        if len(set(p.bits for p in results.values())) > 1:
+            detail = ", ".join(f"{name}: {p.to_text()}" for name, p in results.items())
+            print(f"fib: methods disagree for n={args.n}: {detail}", file=sys.stderr)
+            return EXIT_FAIL
+    print(f.to_hex() if args.format == "hex" else f.to_text())
     return EXIT_OK
 
 
@@ -91,17 +103,7 @@ def cmd_d(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    text = format_csv(table(args.n_max))
-    if args.output is None:
-        sys.stdout.write(text)
-        return EXIT_OK
-    try:
-        with open(args.output, "w", encoding="ascii") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"table: cannot write {args.output}: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    return EXIT_OK
+    return _write("table", args.output, format_csv(table(args.n_max)))
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -137,20 +139,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_sierpinski(args: argparse.Namespace) -> int:
     raster = render(args.rows)
-    if args.ascii:
-        sys.stdout.write(to_ascii(raster))
-        return EXIT_OK
-    text = to_pbm(raster)
-    if args.pbm is None:
-        sys.stdout.write(text)
-        return EXIT_OK
-    try:
-        with open(args.pbm, "w", encoding="ascii") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"sierpinski: cannot write {args.pbm}: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    return EXIT_OK
+    return _write("sierpinski", args.pbm, (to_ascii if args.ascii else to_pbm)(raster))
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
@@ -189,7 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fib", help="print one Fibonacci polynomial over GF(2)")
     p.add_argument("n", type=_decimal(0), help="index, n >= 0")
-    p.add_argument("--method", choices=sorted(_METHODS), default="recursive")
     p.add_argument(
         "--all-methods",
         action="store_true",
@@ -244,12 +232,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command in _LIMITS:
-        name, limit = _LIMITS[args.command]
-        value = getattr(args, name)
-        if value > limit:
-            print(f"{args.command}: {name} must be <= {limit}, got {value}", file=sys.stderr)
-            return EXIT_USAGE
+    keys = [args.command]
+    if args.command == "verify":
+        keys = [f"verify {name}" for name in (SWEEPS if args.name == "all" else [args.name])]
+    for key in keys:
+        if key in _LIMITS:
+            name, limit = _LIMITS[key]
+            value = getattr(args, name)
+            if value is not None and value > limit:
+                print(f"{key}: {name} must be <= {limit}, got {value}", file=sys.stderr)
+                return EXIT_USAGE
     return args.func(args)
 
 

@@ -1,7 +1,11 @@
-"""The Fibonacci polynomial family over GF(2), built by three independent routes.
+"""The Fibonacci polynomial family over GF(2), one builder per request shape.
 
 f_0 = 0, f_1 = 1, f_n = x*f_{n-1} + f_{n-2}.  Over GF(2) the family is
 strictly divisibility-ordered (f_m | f_n whenever m | n).
+
+One index comes from the doubling ladder (fib_hmp), a run f_0 .. f_n from
+the recurrence (fib_sequence).  fib_binomial reads each coefficient off a
+binomial parity, using neither identity: it is the oracle they are checked by.
 """
 
 from __future__ import annotations
@@ -11,23 +15,10 @@ from typing import Iterator
 from .polygf2 import PolyGF2, _square_bits
 
 __all__ = [
-    "fib_recursive",
     "fib_binomial",
     "fib_hmp",
     "fib_sequence",
 ]
-
-
-def fib_recursive(n: int) -> PolyGF2:
-    """f_n by iterating the defining recurrence f_n = x*f_{n-1} + f_{n-2}."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    if n == 0:
-        return PolyGF2(0)
-    prev, cur = 0, 1  # f_0, f_1 as raw bits
-    for _ in range(n - 1):
-        prev, cur = cur, (cur << 1) ^ prev
-    return PolyGF2(cur)
 
 
 def fib_sequence(n_max: int) -> Iterator[PolyGF2]:
@@ -73,12 +64,12 @@ def _fib_pair(m: int) -> tuple[int, int]:
 
 
 def fib_hmp(n: int) -> PolyGF2:
-    """f_n via the doubling ladder, n >= 1.
+    """f_n via the doubling ladder, n >= 0.
 
     The ladder's even step is the hmp identity f_{2m} = x*f_m^2; its odd
     step is f_{2m+1} = f_m^2 + f_{m+1}^2.
     """
-    if n < 1:
-        raise ValueError("index must be >= 1")
+    if n < 0:
+        raise ValueError("index must be nonnegative")
     return PolyGF2(_fib_pair(n)[0])
 

@@ -8,9 +8,11 @@ deg f_n = n - 1.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
-from .fibpoly import fib_binomial
+from .fibpoly import fib_sequence
 
 __all__ = ["SierpinskiRaster", "render", "to_pbm", "to_ascii"]
 
@@ -28,23 +30,28 @@ class SierpinskiRaster:
 
 
 def render(n_rows: int) -> SierpinskiRaster:
-    """Raster of the first n_rows polynomials, each row from the binomial form."""
+    """Raster of the first n_rows polynomials, each row one recurrence step from the last."""
     if n_rows < 1:
         raise ValueError("n_rows must be >= 1")
-    return SierpinskiRaster(n_rows, tuple(fib_binomial(n).bits for n in range(1, n_rows + 1)))
+    rows = itertools.islice(fib_sequence(n_rows), 1, None)  # f_0 is not drawn
+    return SierpinskiRaster(n_rows, tuple(f.bits for f in rows))
+
+
+def _cells(raster: SierpinskiRaster) -> Iterator[str]:
+    """Each row as width 0/1 characters, character i being column i, from one binary string."""
+    width = raster.width
+    return (format(bits, f"0{width}b")[::-1][:width] for bits in raster.rows)
 
 
 def to_pbm(raster: SierpinskiRaster) -> str:
     """Plain PBM (P1): header, then space-separated 0/1 rows, 1 for a set coefficient."""
-    lines = [f"P1\n{raster.width} {raster.n_rows}"]
-    for bits in raster.rows:
-        lines.append(" ".join("1" if bits >> i & 1 else "0" for i in range(raster.width)))
+    lines = [f"P1\n{raster.width} {raster.n_rows}", *map(" ".join, _cells(raster))]
     return "\n".join(lines) + "\n"
+
+
+_ASCII_CELLS = str.maketrans("01", ".#")
 
 
 def to_ascii(raster: SierpinskiRaster) -> str:
     """Terminal rendering: '#' for a set coefficient, '.' otherwise."""
-    lines = []
-    for bits in raster.rows:
-        lines.append("".join("#" if bits >> i & 1 else "." for i in range(raster.width)))
-    return "\n".join(lines) + "\n"
+    return "\n".join(row.translate(_ASCII_CELLS) for row in _cells(raster)) + "\n"

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import math
 import random
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -29,26 +31,29 @@ def test_fib_text(capsys):
 
 
 def test_fib_methods_agree(capsys):
-    assert run(capsys, "fib", "12", "--method", "hmp") == (0, "x^11 + x^3\n", "")
-    assert run(capsys, "fib", "12", "--method", "binomial") == (0, "x^11 + x^3\n", "")
-    assert run(capsys, "fib", "12", "--method", "hmp", "--all-methods") == (
-        0,
-        "x^11 + x^3\n",
-        "",
-    )
-    # n=0 sits outside the ladder route; the cross-check skips it quietly
+    assert run(capsys, "fib", "12", "--all-methods") == (0, "x^11 + x^3\n", "")
     assert run(capsys, "fib", "0", "--all-methods") == (0, "0\n", "")
+
+
+def test_fib_methods_disagree(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "fib_binomial", lambda n: PolyGF2(1))
+    assert run(capsys, "fib", "6", "--all-methods") == (
+        1,
+        "",
+        "fib: methods disagree for n=6: recursive: x^5 + x, binomial: 1, hmp: x^5 + x\n",
+    )
+
+
+def test_fib_method_option_is_gone(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["fib", "6", "--method", "hmp"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --method hmp" in capsys.readouterr().err
 
 
 def test_fib_hex(capsys):
     assert run(capsys, "fib", "6", "--format", "hex") == (0, "22\n", "")
     assert run(capsys, "fib", "0", "--format", "hex") == (0, "\n", "")
-
-
-def test_fib_hmp_rejects_zero(capsys):
-    code, out, err = run(capsys, "fib", "0", "--method", "hmp")
-    assert code == 2
-    assert "n >= 1" in err
 
 
 def test_fib_bad_index():
@@ -431,6 +436,28 @@ def test_oracle_line(capsys):
         (("fib", "1000001", "--all-methods"), "fib: n must be <= 1000000, got 1000001\n"),
         (("table", "30001"), "table: n_max must be <= 30000, got 30001\n"),
         (("table", "30001", "-o", "/nonexistent/t.csv"), "table: n_max must be <= 30000, got 30001\n"),
+        (
+            ("verify", "hmp-gcd", "--nmax", "1000000000000000", "--trials", "1"),
+            "verify hmp-gcd: nmax must be <= 1000000, got 1000000000000000\n",
+        ),
+        (("verify", "oracle", "--nmax", "2001"), "verify oracle: nmax must be <= 2000, got 2001\n"),
+        (("verify", "all2", "--kmax", "13"), "verify all2: kmax must be <= 12, got 13\n"),
+        (
+            ("verify", "equivalence", "--kmax", "13"),
+            "verify equivalence: kmax must be <= 12, got 13\n",
+        ),
+        (
+            ("verify", "powers", "--degree-cap", "2000001"),
+            "verify powers: degree_cap must be <= 2000000, got 2000001\n",
+        ),
+        (
+            ("verify", "recurrence", "--nmax", "15000"),
+            "verify recurrence: nmax must be <= 14999, got 15000\n",
+        ),
+        (("verify", "delta", "--nmax", "30001"), "verify delta: nmax must be <= 30000, got 30001\n"),
+        # verify all checks the sweeps it will run before the first one runs
+        (("verify", "all", "--nmax", "2001"), "verify oracle: nmax must be <= 2000, got 2001\n"),
+        (("verify", "all", "--kmax", "13"), "verify all2: kmax must be <= 12, got 13\n"),
     ],
 )
 def test_sizes_above_the_limit_are_refused(capsys, monkeypatch, argv, message):
@@ -438,11 +465,48 @@ def test_sizes_above_the_limit_are_refused(capsys, monkeypatch, argv, message):
     def boom(*args, **kwargs):
         raise AssertionError("work started on a refused size")
 
-    for name in ("GridSystem", "d_of_n", "render", "table"):
+    routes = ("GridSystem", "d_of_n", "render", "table", "fib_hmp", "fib_sequence", "fib_binomial")
+    for name in routes:
         monkeypatch.setattr(cli, name, boom)
-    for method in cli._METHODS:
-        monkeypatch.setitem(cli._METHODS, method, boom)
+    for name in cli.SWEEPS:
+        monkeypatch.setitem(cli.SWEEPS, name, boom)
     assert run(capsys, *argv) == (2, "", message)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "all"),
+        ("verify", "all2", "--kmax", "12"),
+        ("verify", "powers", "--degree-cap", "1000000"),
+        ("verify", "powers", "--degree-cap", "2000000"),
+        ("verify", "equivalence", "--kmax", "12"),
+        ("verify", "hmp-gcd", "--nmax", "1000000"),
+        ("verify", "oracle", "--nmax", "2000"),
+        ("verify", "recurrence", "--nmax", "14999"),
+        ("verify", "delta", "--nmax", "30000"),
+    ],
+)
+def test_verify_bounds_at_the_limit_are_accepted(capsys, monkeypatch, argv):
+    # defaults, the slow tier's all2 k = 12 and powers cap 1e6, and each limit itself
+    for name in cli.SWEEPS:
+        monkeypatch.setitem(cli.SWEEPS, name, lambda **bounds: [])
+    assert run(capsys, *argv)[0] == 0
+
+
+def test_readme_examples(capsys):
+    # the README's first text block: "$ fibgrid ARGS" lines, each followed by its stdout
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```text\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("$ fibgrid "):
+            examples.append((shlex.split(line)[2:], []))
+        elif line:
+            examples[-1][1].append(line + "\n")
+    assert [argv[0] for argv, _ in examples] == ["fib", "d", "oracle", "table", "solve", "sierpinski"]
+    for argv, out in examples:
+        assert run(capsys, *argv) == (0, "".join(out), ""), argv
 
 
 def test_console_entry_point():

@@ -14,7 +14,6 @@ from fibgrid import (
     PolyGF2,
     fib_binomial,
     fib_hmp,
-    fib_recursive,
     fib_sequence,
     gcd,
     subst_x_plus_1,
@@ -26,21 +25,18 @@ P = PolyGF2.parse
 def test_first_values():
     want = [ZERO, ONE, X, P("x^2 + 1"), P("x^3"), P("x^4 + x^2 + 1"), P("x^5 + x")]
     for n, expected in enumerate(want):
-        assert fib_recursive(n) == expected
         assert fib_binomial(n) == expected
-        if n >= 1:
-            assert fib_hmp(n) == expected
-    assert fib_recursive(6).to_text() == "x^5 + x"
+        assert fib_hmp(n) == expected
+    assert list(fib_sequence(6)) == want
+    assert fib_hmp(6).to_text() == "x^5 + x"
     assert fib_hmp(12) == P("x^11 + x^3")
 
 
 def test_validation():
     with pytest.raises(ValueError):
-        fib_recursive(-1)
-    with pytest.raises(ValueError):
         fib_binomial(-1)
     with pytest.raises(ValueError):
-        fib_hmp(0)
+        fib_hmp(-1)
     with pytest.raises(ValueError):
         list(fib_sequence(-1))
 
@@ -49,14 +45,13 @@ def test_sequence_matches_single_shot():
     seq = list(fib_sequence(50))
     assert len(seq) == 51
     for n, f in enumerate(seq):
-        assert f == fib_recursive(n)
+        assert f == fib_binomial(n)
 
 
 def test_three_routes_agree_to_300():
     for n, f in enumerate(fib_sequence(300)):
         assert fib_binomial(n) == f, f"binomial disagrees at n={n}"
-        if n >= 1:
-            assert fib_hmp(n) == f, f"odd-part route disagrees at n={n}"
+        assert fib_hmp(n) == f, f"ladder disagrees at n={n}"
 
 
 def test_degree_and_monic():
@@ -105,7 +100,7 @@ def test_divisibility_periodicity_to_2000():
         for m in range(1, 2001):
             assert (b == ZERO) == (m % v == 0), f"tau={tau}, m={m}"
             a, b = b, (X * b + a) % tau
-        assert b == fib_recursive(2001) % tau
+        assert b == fib_binomial(2001) % tau
 
 
 def test_degree_one_divisibility_small_range():

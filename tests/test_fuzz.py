@@ -55,9 +55,6 @@ def test_poly_parsers_raise_only_value_error(text):
 # scratch directory, where board.txt holds drawn bytes.
 OPTIONS = {
     "fib": [
-        ["--method", "recursive"],
-        ["--method", "binomial"],
-        ["--method", "hmp"],
         ["--all-methods"],
         ["--format", "hex"],
         ["--format", "text"],

@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from fibgrid import X, PolyGF2, fib_recursive, render, to_ascii, to_pbm
+from fibgrid import X, PolyGF2, fib_binomial, render, to_ascii, to_pbm
 
 
 def test_render_shape():
@@ -14,9 +14,10 @@ def test_render_shape():
     assert raster.n_rows == 8
     assert raster.width == 8
     assert len(raster.rows) == 8
-    # row n carries f_n: degree n-1 keeps everything inside the square
+    # row n carries f_n: degree n-1 keeps everything inside the square.  render
+    # streams the recurrence, so its rows are checked against the binomial form
     for i, bits in enumerate(raster.rows):
-        assert bits == fib_recursive(i + 1).bits
+        assert bits == fib_binomial(i + 1).bits
         assert bits.bit_length() - 1 == i  # highest lit column sits on the diagonal
     with pytest.raises(ValueError):
         render(0)

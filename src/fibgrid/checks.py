@@ -10,10 +10,11 @@ Which route each sweep reads: d_of_n, the factored fast route, is checked
 by `oracle` against the light-chasing nullity of `GridSystem`, which builds
 no polynomial, and is the value under test in `all2` and `powers`.
 `recurrence`, `delta` and `equivalence` check identities that d_of_n uses
-to factor f_{n+1}, so they read `_d_and_delta` and never d_of_n: it runs
-the same descent to GF(2)[y], y = x^2 + x, on the unreduced f_{n+1}, which
-rests only on the GCD being fixed by x -> x+1, and takes delta from the
-multiplicities of x and x+1 in f_{n+1}, not from the mod-3 closed form.
+to factor f_{n+1}, so they read `_d_and_delta` and never d_of_n: it splits
+the unreduced f_{n+1} as A(y) + x B(y), y = x^2 + x, and takes d from
+gcd(A, B), which rests on that basis split and on no doubling identity, and
+delta from the multiplicities of x and x+1 in f_{n+1}, not from the mod-3
+closed form.
 
 Two kinds of report share one type.  A conjecture check (scope None) keeps
 every case and renders as a per-case table.  A range sweep sets scope to a
@@ -222,7 +223,7 @@ def powers(
     # d_of_n with one GCD per odd part: k = 1 repeats base, and 9, 25, 27, 49 repeat 3, 5, 7
     d = functools.partial(_d_from, odd_gcd_degree=functools.cache(_odd_gcd_degree))
     cases = []
-    for a in range(3, amax + 1, 2):
+    for a in range(3, min(amax, degree_cap) + 1, 2):  # a > degree_cap has no case
         if a % 21 == 0:
             continue  # outside the conjecture's hypothesis
         base = d(a - 1)

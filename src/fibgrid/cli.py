@@ -24,31 +24,32 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-# command -> (argument, largest accepted value).  A grid side n keeps
+# command -> {argument: largest accepted value}.  A grid side n keeps
 # kernel_basis() within 1 GiB: at most n vectors of n*n bits, 2000^3 bits
 # being 0.93 GiB.  d's GCD runs in GF(2)[x^2 + x] at half the degree of
-# f_{n+1}'s odd part and is still quadratic, about 8 s at 2,000,000 on a
+# f_{n+1}'s odd part and is still quadratic, about 6 s at 2,000,000 on a
 # shared 2-core machine.  fib builds f_n by the linear ladder, but
 # --all-methods also runs the quadratic recurrence, about 25 s at 1,000,000.
-# table runs one GCD per odd part of n + 1, about 24 s at 30,000.  A raster
+# table runs one GCD per odd part of n + 1, about 19 s at 30,000.  A raster
 # of ROWS rows prints 2*ROWS^2 characters, 32 MiB at 4096.  A verify sweep's
 # flag has the limit of the command building the same objects: fib for
 # hmp-gcd, oracle for oracle, d for all2 and equivalence (2*3^12 - 1 =
-# 1,062,881) and powers, table for recurrence (up to d_{2 nmax + 3}) and delta.
+# 1,062,881) and powers, table for recurrence (up to d_{2 nmax + 3}), delta
+# and the powers bases d(a - 1).
 _LIMITS = {
-    "fib": ("n", 1_000_000),
-    "d": ("n", 2_000_000),
-    "table": ("n_max", 30_000),
-    "solve": ("n", 2000),
-    "oracle": ("n", 2000),
-    "sierpinski": ("rows", 4096),
-    "verify recurrence": ("nmax", 14_999),
-    "verify delta": ("nmax", 30_000),
-    "verify hmp-gcd": ("nmax", 1_000_000),
-    "verify oracle": ("nmax", 2000),
-    "verify all2": ("kmax", 12),
-    "verify powers": ("degree_cap", 2_000_000),
-    "verify equivalence": ("kmax", 12),
+    "fib": {"n": 1_000_000},
+    "d": {"n": 2_000_000},
+    "table": {"n_max": 30_000},
+    "solve": {"n": 2000},
+    "oracle": {"n": 2000},
+    "sierpinski": {"rows": 4096},
+    "verify recurrence": {"nmax": 14_999},
+    "verify delta": {"nmax": 30_000},
+    "verify hmp-gcd": {"nmax": 1_000_000},
+    "verify oracle": {"nmax": 2000},
+    "verify all2": {"kmax": 12},
+    "verify powers": {"degree_cap": 2_000_000, "amax": 30_001},
+    "verify equivalence": {"kmax": 12},
 }
 
 
@@ -236,8 +237,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "verify":
         keys = [f"verify {name}" for name in (SWEEPS if args.name == "all" else [args.name])]
     for key in keys:
-        if key in _LIMITS:
-            name, limit = _LIMITS[key]
+        for name, limit in _LIMITS.get(key, {}).items():
             value = getattr(args, name)
             if value is not None and value > limit:
                 print(f"{key}: {name} must be <= {limit}, got {value}", file=sys.stderr)

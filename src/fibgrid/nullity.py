@@ -8,26 +8,24 @@ delta_n = d_{2n+1} - 2 d_n is always 0 or 2 and has both a closed form
 and x+1 in f_{n+1}; both are provided, and the sweeps in checks tie
 everything together.
 
-One routine, _sigma_gcd_degree, computes every deg gcd(p(x), p(x+1)):
-after one Euclid step it descends to y = x^2 + x, halving the degree,
-because the GCD is fixed by x -> x+1 and the polynomials that map fixes
-are the polynomials in y.  Each caller passes p and p(x+1).  d_of_n
-passes a factor of f_{n+1} at half the degree of its odd part, built by the
-doubling ladder; table streams that factor for each odd part in turn by
-the defining recurrence.
-_d_and_delta passes the unreduced f_{n+1}; it is the reference that the
-identity sweeps (recurrence, delta, equivalence) read, because d_of_n's
-factoring rests on those same identities and the descent does not.
+Every deg gcd(p(x), p(x+1)) is taken in the basis {1, x} of GF(2)[x]
+over GF(2)[y], y = x^2 + x: with p = A(y) + x B(y), it is 2 deg gcd(A, B),
+one Euclid at half the degree of p (_sigma_gcd_degree).  d_of_n splits a
+factor of f_{n+1} at half the degree of its odd part, built by the doubling
+ladder; table streams the y-parts of that factor for each odd part in turn
+by the defining recurrence.  _d_and_delta splits the unreduced f_{n+1}; it
+is the reference that the identity sweeps (recurrence, delta, equivalence)
+read, because d_of_n's factoring rests on those same identities and the
+basis split does not.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .fibpoly import _fib_pair, fib_hmp, fib_sequence
-from .polygf2 import _descend_bits, _divmod_bits, _gcd_bits, _subst_bits
+from .fibpoly import _fib_pair, fib_hmp
+from .polygf2 import _gcd_bits, _subst_bits, _y_parts
 
 __all__ = [
     "NullityRecord",
@@ -44,35 +42,22 @@ def _require_side(n: int) -> None:
         raise ValueError("grid side length must be >= 1")
 
 
-def _sigma_gcd_degree(h: int, hs: int) -> int:
-    """deg gcd(h, h(x+1)) for nonzero h, given hs = h(x+1).
+def _sigma_gcd_degree(h: int) -> int:
+    """deg gcd(h, h(x+1)) for nonzero h.
 
-    Write sigma for x -> x+1, an involution; the polynomials it fixes are
-    exactly the polynomials in y = x^2 + x.  Euclid's first step replaces
-    sigma(h) by S = h + sigma(h), which sigma fixes.  r = h mod S is fixed
-    too: sigma(r) = sigma(h) = h + S = h = r (mod S), and deg sigma(r) =
-    deg r < deg S.  So S = s(x^2 + x) and r = rho(x^2 + x), and because
-    GF(2)[x] is free over GF(2)[y], gcd(S, r) = gcd(s, rho)(x^2 + x): the
-    rest of Euclid runs on s and rho, at half the degree.  S = 0 means h is
-    fixed by sigma and is its own GCD.
+    Write h = A(y) + x B(y) with y = x^2 + x (_y_parts).  y is fixed by
+    x -> x+1, so h(x+1) = A(y) + (x+1) B(y) = h + B(y), and
+    gcd(h, h(x+1)) = gcd(h, B(y)) = gcd(A(y), B(y)).  GF(2)[x] is free over
+    GF(2)[y] with basis {1, x}, so that GCD is gcd(A, B) taken in y, whose
+    x-degree is twice its y-degree.
     """
-    big_s = h ^ hs
-    if not big_s:
-        return h.bit_length() - 1
-    r = _divmod_bits(h, big_s)[1]
-    # half is a power of two above deg s = deg S / 2.  One descent of
-    # S + (x^2 + x)^half r = S + (x^(2 half) + x^half) r gives s + y^half rho.
-    half = 1 << (big_s.bit_length() >> 1).bit_length()
-    p = _descend_bits(big_s ^ (r << half) ^ (r << 2 * half))
-    s, rho = p & ((1 << half) - 1), p >> half
-    return 2 * (_gcd_bits(s, rho).bit_length() - 1)
+    return 2 * (_gcd_bits(*_y_parts(h)).bit_length() - 1)
 
 
 def _odd_gcd_degree(b: int) -> int:
     """deg gcd(h, h(x+1)) for odd b, where h = f_m + f_{m+1} and m = (b-1)/2."""
     lo, hi = _fib_pair(b >> 1)
-    h = lo ^ hi
-    return _sigma_gcd_degree(h, _subst_bits(h))
+    return _sigma_gcd_degree(lo ^ hi)
 
 
 def _d_from(n: int, odd_gcd_degree: Callable[[int], int]) -> int:
@@ -91,9 +76,8 @@ def d_of_n(n: int) -> int:
     f_{n+1} = x^(2^k - 1) * h^(2^(k+1)).  x never divides f_b, and x+1
     divides it exactly when 3 | b (f_b(1) is the Fibonacci number F_b mod 2),
     so the GCD is gcd(h, h(x+1))^(2^(k+1)) times (x^2 + x)^(2^k - 1) when
-    3 | b.  gcd(h, h(x+1)) is fixed by x -> x+1, so after one step at the
-    degree of h its Euclid runs in GF(2)[y], y = x^2 + x, at half that
-    degree (_odd_gcd_degree).
+    3 | b.  With h = A(y) + x B(y), y = x^2 + x, its degree is twice that of
+    gcd(A, B), a Euclid at half the degree of h (_odd_gcd_degree).
     """
     _require_side(n)
     return _d_from(n, _odd_gcd_degree)
@@ -108,16 +92,17 @@ def delta_closed_form(n: int) -> int:
 def _d_and_delta(n: int) -> tuple[int, int]:
     """(d_n, delta_n) from the unreduced f = f_{n+1}, by no doubling identity.
 
-    d_n is _sigma_gcd_degree(f), which rests only on gcd(f, f(x+1)) being
-    fixed by x -> x+1.  delta_n = 2 deg gcd(x, f(x+1)/g), g = gcd(f, f(x+1)).
-    The x multiplicity of g is the smaller of those of f and f(x+1), and
-    that of f(x+1) is the x+1 multiplicity of f.  So x divides f(x+1)/g
-    exactly when x divides f(x+1) more often than it divides f.
+    d_n is _sigma_gcd_degree(f), which rests only on splitting f in the
+    basis {1, x} over GF(2)[y], y = x^2 + x.
+    delta_n = 2 deg gcd(x, f(x+1)/g), g = gcd(f, f(x+1)).  The x
+    multiplicity of g is the smaller of those of f and f(x+1), and that of
+    f(x+1) is the x+1 multiplicity of f.  So x divides f(x+1)/g exactly
+    when x divides f(x+1) more often than it divides f.
     """
     f = fib_hmp(n + 1).bits
     fs = _subst_bits(f)
     # z & -z is x^(x multiplicity of z)
-    return _sigma_gcd_degree(f, fs), 2 if fs & -fs > f & -f else 0
+    return _sigma_gcd_degree(f), 2 if fs & -fs > f & -f else 0
 
 
 def delta_via_gcd(n: int) -> int:
@@ -143,13 +128,17 @@ def table(n_max: int) -> list[NullityRecord]:
     """Records for every n in 1..n_max, in order.
 
     Rows whose n + 1 share an odd part 2m + 1 share one GCD, on h = f_m +
-    f_{m+1}, which is streamed by the recurrence where d_of_n runs the ladder.
+    f_{m+1}, where d_of_n runs the ladder.  The recurrence streams f_m =
+    A_m(y) + x B_m(y) in the y-parts _sigma_gcd_degree splits h into:
+    x^2 = x + y turns f_{m+1} = x f_m + f_{m-1} into A_{m+1} = y B_m + A_{m-1}
+    and B_{m+1} = A_m + B_m + B_{m-1}.
     """
     _require_side(n_max)
     degrees = []  # degrees[m]: deg gcd(h, h(x+1)) for the odd part 2m + 1
-    for lo, hi in itertools.pairwise(fib_sequence(n_max // 2 + 1)):
-        h = lo.bits ^ hi.bits
-        degrees.append(_sigma_gcd_degree(h, _subst_bits(h)))
+    a0, b0, a1, b1 = 0, 0, 1, 0  # y-parts of f_m and f_{m+1}, from m = 0
+    for _ in range(n_max // 2 + 1):
+        degrees.append(2 * (_gcd_bits(a0 ^ a1, b0 ^ b1).bit_length() - 1))
+        a0, b0, a1, b1 = a1, b1, (b1 << 1) ^ a0, a1 ^ b1 ^ b0
     return [
         NullityRecord(n, _d_from(n, lambda b: degrees[b >> 1]), delta_closed_form(n))
         for n in range(1, n_max + 1)

@@ -126,29 +126,30 @@ def _subst_bits(z: int) -> int:
     return z
 
 
-def _descent_tables() -> tuple[bytes, bytes, bytes]:
+def _descent_tables() -> tuple[bytes, bytes, bytes, bytes]:
     """Byte tables for the two byte-local descent levels, t = 2 and t = 1.
 
-    low[byte] and high[byte] are the even bits of the folded byte, packed
-    into the low and the high nibble: the inverse of _SPREAD_LOW and
-    _SPREAD_HIGH.  ``invariant`` lists the bytes whose folded form has no
-    odd bit set.
+    A folded byte holds the sum of (c_k + d_k x) y^k, y = x^2 + x, over
+    k < 4, c_k at bit 2k and d_k at bit 2k+1.  The even tables pack the c_k
+    into the low or the high nibble (the inverse of _SPREAD_LOW and
+    _SPREAD_HIGH); the odd tables pack the d_k the same way.
     """
-    low, high, invariant = bytearray(256), bytearray(256), bytearray()
+    even_low, even_high = bytearray(256), bytearray(256)
+    odd_low, odd_high = bytearray(256), bytearray(256)
     for byte in range(256):
         v = byte
         v ^= (v >> 4) & 0x0C  # t = 2 on the whole byte
         v ^= (v >> 2) & 0x3C
         v ^= (v >> 2) & 0x22  # t = 1 on each nibble
         v ^= (v >> 1) & 0x66
-        nibble = sum((v >> (2 * i) & 1) << i for i in range(4))
-        low[byte], high[byte] = nibble, nibble << 4
-        if not v & 0xAA:
-            invariant.append(byte)
-    return bytes(low), bytes(high), bytes(invariant)
+        even = sum((v >> (2 * i) & 1) << i for i in range(4))
+        odd = sum((v >> (2 * i + 1) & 1) << i for i in range(4))
+        even_low[byte], even_high[byte] = even, even << 4
+        odd_low[byte], odd_high[byte] = odd, odd << 4
+    return bytes(even_low), bytes(even_high), bytes(odd_low), bytes(odd_high)
 
 
-_DESCEND_LOW, _DESCEND_HIGH, _INVARIANT_BYTES = _descent_tables()
+_EVEN_LOW, _EVEN_HIGH, _ODD_LOW, _ODD_HIGH = _descent_tables()
 
 
 def _block_mask(k: int, t: int, blocks: int) -> int:
@@ -162,21 +163,20 @@ _DESCENT_CACHE_BYTES = 1024
 _cached_block_mask = functools.cache(_block_mask)
 
 
-def _descend_bits(z: int) -> int:
-    """Map p(x^2 + x) to p: the inverse of substituting y = x^2 + x.
+def _y_parts(z: int) -> tuple[int, int]:
+    """(A, B) with z = A(y) + x B(y), y = x^2 + x: z in the basis {1, x} over GF(2)[y].
 
     Over GF(2), (x^2 + x)^t = x^(2t) + x^t for t a power of two.  A block
     g_lo + x^t g0 + x^(2t) g1 + x^(3t) g2 of 4t bits therefore equals
-    A + (x^2 + x)^t B with A = [g_lo, g0+g1+g2] and B = [g1+g2, g2]: one
+    P + (x^2 + x)^t Q with P = [g_lo, g0+g1+g2] and Q = [g1+g2, g2]: one
     fold, two masked shift-XORs.  Folding every block from the top level
     down to t = 1 writes z as the sum of (c_k + d_k x)(x^2 + x)^k, c_k at
-    bit 2k and d_k at bit 2k+1.  z(x+1) - z is the sum of d_k (x^2 + x)^k,
-    so a set odd bit means z is not fixed by x -> x+1: ValueError.  The
-    levels t = 2 and t = 1 stay inside one byte and run in the translate
-    tables, which also drop the odd bits that _square_bits puts in.
+    bit 2k and d_k at bit 2k+1; A packs the c_k and B the d_k.  The levels
+    t = 2 and t = 1 stay inside one byte and run in the translate tables,
+    which also do the packing.
     """
     if z == 0:
-        return 0
+        return 0, 0
     nbytes = 1 << ((z.bit_length() - 1) >> 3).bit_length()  # a power of two
     mask = _cached_block_mask if nbytes <= _DESCENT_CACHE_BYTES else _block_mask
     t = 2 * nbytes  # the top level: one block of 4t bits holds all of z
@@ -186,10 +186,12 @@ def _descend_bits(z: int) -> int:
         z ^= (z >> t) & mask(3, t, blocks)
         t >>= 1
     data = z.to_bytes(nbytes, "little")
-    if data.translate(None, _INVARIANT_BYTES):
-        raise ValueError("not a polynomial in x^2 + x")
-    even = int.from_bytes(data[0::2].translate(_DESCEND_LOW), "little")
-    return even | int.from_bytes(data[1::2].translate(_DESCEND_HIGH), "little")
+    lo, hi = data[0::2], data[1::2]
+    a = int.from_bytes(lo.translate(_EVEN_LOW), "little")
+    b = int.from_bytes(lo.translate(_ODD_LOW), "little")
+    a |= int.from_bytes(hi.translate(_EVEN_HIGH), "little")
+    b |= int.from_bytes(hi.translate(_ODD_HIGH), "little")
+    return a, b
 
 
 # -- public value type -------------------------------------------------------

@@ -65,3 +65,18 @@ def test_range_sweep_stops_at_first_failure(monkeypatch):
     assert [c.params for c in report.cases] == [f"n={n}" for n in range(1, 8)]
     assert report.first_failure is report.cases[-1]
     assert report.scope == "two routes agree for n=1..30"
+
+
+def test_powers_skips_bases_above_the_degree_cap(monkeypatch):
+    # a base a > degree_cap has no case for any k, so its d(a - 1) is never computed
+    parts = []
+    real = checks._odd_gcd_degree
+
+    def counted(b):
+        parts.append(b)
+        return real(b)
+
+    monkeypatch.setattr(checks, "_odd_gcd_degree", counted)
+    wide = checks.powers(amax=401, degree_cap=9)
+    assert parts and max(parts) <= 9
+    assert wide == checks.powers(amax=9, degree_cap=9)

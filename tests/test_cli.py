@@ -458,6 +458,15 @@ def test_oracle_line(capsys):
         # verify all checks the sweeps it will run before the first one runs
         (("verify", "all", "--nmax", "2001"), "verify oracle: nmax must be <= 2000, got 2001\n"),
         (("verify", "all", "--kmax", "13"), "verify all2: kmax must be <= 12, got 13\n"),
+        (("verify", "all", "--amax", "30002"), "verify powers: amax must be <= 30001, got 30002\n"),
+        (
+            ("verify", "powers", "--amax", "30002"),
+            "verify powers: amax must be <= 30001, got 30002\n",
+        ),
+        (
+            ("verify", "powers", "--amax", "2000001", "--degree-cap", "2000000"),
+            "verify powers: amax must be <= 30001, got 2000001\n",
+        ),
     ],
 )
 def test_sizes_above_the_limit_are_refused(capsys, monkeypatch, argv, message):
@@ -485,6 +494,8 @@ def test_sizes_above_the_limit_are_refused(capsys, monkeypatch, argv, message):
         ("verify", "oracle", "--nmax", "2000"),
         ("verify", "recurrence", "--nmax", "14999"),
         ("verify", "delta", "--nmax", "30000"),
+        ("verify", "powers", "--amax", "30001", "--degree-cap", "2000000"),
+        ("verify", "all", "--amax", "30001"),
     ],
 )
 def test_verify_bounds_at_the_limit_are_accepted(capsys, monkeypatch, argv):

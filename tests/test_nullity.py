@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fibgrid import (
     GridSystem,
@@ -18,7 +20,9 @@ from fibgrid import (
     table,
 )
 from fibgrid.checks import all2, powers, recurrence
-from fibgrid.nullity import _d_and_delta
+from fibgrid.nullity import _d_and_delta, _sigma_gcd_degree
+
+polys = st.binary(max_size=128).map(lambda b: PolyGF2(int.from_bytes(b, "little")))
 
 
 def test_pinned_values():
@@ -26,6 +30,15 @@ def test_pinned_values():
     known = {1: 0, 2: 0, 3: 0, 4: 4, 5: 2, 6: 0, 7: 0, 8: 0, 9: 8, 11: 6, 16: 8, 19: 16}
     for n, d in known.items():
         assert d_of_n(n) == d, f"n={n}"
+
+
+@given(polys.filter(bool), polys, polys)
+def test_sigma_gcd_degree_is_the_gcd_with_the_shifted_copy(p, q, r):
+    # arbitrary f, and f with the shared factors q(x) q(x+1) and (r(x) r(x+1))^2
+    qq = q * subst_x_plus_1(q) if q else PolyGF2(1)
+    rr = r * subst_x_plus_1(r) if r else PolyGF2(1)
+    for f in (p, p * qq, p * qq * rr * rr):
+        assert _sigma_gcd_degree(f.bits) == gcd(f, subst_x_plus_1(f)).degree
 
 
 def test_factored_route_matches_unreduced_gcd():

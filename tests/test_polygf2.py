@@ -21,10 +21,10 @@ from fibgrid.polygf2 import (
     _DESCENT_CACHE_BYTES,
     MAX_PARSE_DEGREE,
     _cached_block_mask,
-    _descend_bits,
     _gcd_bits,
     _mul_bits,
     _subst_bits,
+    _y_parts,
 )
 
 P = PolyGF2.parse
@@ -301,7 +301,7 @@ def test_subst_is_ring_homomorphism(p, q):
     assert subst_x_plus_1(p * q) == subst_x_plus_1(p) * subst_x_plus_1(q)
 
 
-# -- descent to y = x^2 + x ------------------------------------------------------
+# -- the basis {1, x} over GF(2)[y], y = x^2 + x -------------------------------
 
 
 def ascend(p: int) -> int:
@@ -312,34 +312,40 @@ def ascend(p: int) -> int:
     return z
 
 
+def join(a: int, b: int) -> int:
+    """A(y) + x B(y) for y = x^2 + x."""
+    return ascend(a) ^ (ascend(b) << 1)
+
+
 def test_descend_inverts_ascend():
     rng = random.Random(5)
-    cases = [0, 1, 2, 3]
-    cases += [rng.getrandbits(rng.randrange(601)) for _ in range(200)]
+    cases = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (3, 3)]
+    for _ in range(200):
+        cases.append((rng.getrandbits(rng.randrange(301)), rng.getrandbits(rng.randrange(301))))
     # top bit at a power of two and either side of it, where the blocks change size
     for j in range(1, 11):
         for nbits in (2**j - 1, 2**j, 2**j + 1):
-            cases.append(rng.getrandbits(nbits) | 1 << (nbits - 1))
-    for p in cases:
-        z = ascend(p)
-        assert _subst_bits(z) == z
-        assert _descend_bits(z) == p, hex(p)
+            top, low = rng.getrandbits(nbits) | 1 << (nbits - 1), rng.getrandbits(nbits)
+            cases += [(top, 0), (0, top), (top, low), (low, top)]
+    for a, b in cases:
+        z = join(a, b)
+        assert _y_parts(z) == (a, b), (hex(a), hex(b))
+        assert (_subst_bits(z) == z) == (b == 0)
 
 
 def test_descend_round_trip_either_side_of_the_mask_cache():
     rng = random.Random(11)
     cases = []
-    # p of 2N + 1 and of 4N bits ascends to z of 4N + 1 and 8N - 1 bits: a descent on N bytes
+    # z of 4N + 1 and of 8N - 1 bits: a descent on N bytes
     for nbytes in (_DESCENT_CACHE_BYTES // 2, _DESCENT_CACHE_BYTES, 2 * _DESCENT_CACHE_BYTES):
-        for nbits in (2 * nbytes + 1, 4 * nbytes):
-            p = rng.getrandbits(nbits) | 1 << (nbits - 1)
-            cases.append((p, ascend(p)))
+        for nbits in (4 * nbytes + 1, 8 * nbytes - 1):
+            cases.append(rng.getrandbits(nbits) | 1 << (nbits - 1))
     _cached_block_mask.cache_clear()
     for _ in ("cold", "warm"):
-        for p, z in cases:
-            assert _descend_bits(z) == p
-            with pytest.raises(ValueError):
-                _descend_bits(z ^ 0b10)  # z + x is moved by x -> x+1
+        for z in cases:
+            a, b = _y_parts(z)
+            assert join(a, b) == z
+            assert _y_parts(z ^ 0b10) == (a, b ^ 1)  # z + x
         # only the two sizes at or below the cap keep theirs: two masks per
         # level, at t = 2N, N, ..., 4 for a descent on N bytes
         cached_sizes = (_DESCENT_CACHE_BYTES // 2, _DESCENT_CACHE_BYTES)
@@ -347,25 +353,27 @@ def test_descend_round_trip_either_side_of_the_mask_cache():
         assert _cached_block_mask.cache_info().currsize == kept
 
 
-@given(polys)
-def test_descend_inverts_ascend_property(p):
-    assert _descend_bits(ascend(p.bits)) == p.bits
+@given(polys, polys)
+def test_descend_inverts_ascend_property(a, b):
+    assert _y_parts(join(a.bits, b.bits)) == (a.bits, b.bits)
 
 
 @given(polys)
-def test_descend_refuses_what_x_plus_1_moves(p):
-    if _subst_bits(p.bits) == p.bits:
-        assert ascend(_descend_bits(p.bits)) == p.bits
-    else:
-        with pytest.raises(ValueError):
-            _descend_bits(p.bits)
+def test_y_parts_b_vanishes_exactly_on_what_x_plus_1_fixes(p):
+    a, b = _y_parts(p.bits)
+    assert join(a, b) == p.bits
+    assert (b == 0) == (_subst_bits(p.bits) == p.bits)
 
 
-def test_descend_refuses_pinned_non_invariants():
+def test_y_parts_pinned_non_invariants():
     # x, x^3 and x^2 + x + x^4 move under x -> x+1; so does anything of odd degree
     for z in (0b10, 0b1000, 0b10110, 1 << 601, ascend(0b1011) ^ 1 << 9):
-        with pytest.raises(ValueError):
-            _descend_bits(z)
+        assert _subst_bits(z) != z
+        assert _y_parts(z)[1] != 0
+    assert _y_parts(0b10) == (0, 1)  # x
+    assert _y_parts(0b1000) == (0b10, 0b11)  # x^3 = x (x + y) = y + x (1 + y)
+    assert _y_parts(0b10110) == (0b100, 1)  # x^4 + x^2 + x = y^2 + x
+    assert _y_parts(0b10010) == (0b110, 0)  # x^4 + x = y^2 + y, fixed
 
 
 @given(polys)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .fibpoly import fib_hmp
 from .grid import GridSystem
@@ -46,26 +46,26 @@ __all__ = [
 DEFAULT_DEGREE_CAP = 200_000
 
 
-@dataclass(frozen=True)
-class Case:
-    """One tested instance; params is a semicolon-joined key=value string."""
+class Case(namedtuple("Case", "params expected computed")):
+    """One tested instance; params is a semicolon-joined key=value string.
 
-    params: str
-    expected: int | PolyGF2
-    computed: int | PolyGF2
+    expected and computed are each an int or a PolyGF2.
+    """
+
+    __slots__ = ()
 
     @property
     def verdict(self) -> str:
         return "pass" if self.expected == self.computed else "fail"
 
 
-@dataclass(frozen=True)
-class Report:
-    """Cases of one named check; scope is the summary line of a range sweep."""
+class Report(namedtuple("Report", "name cases scope", defaults=(None,))):
+    """Cases of one named check; scope is the summary line of a range sweep.
 
-    name: str
-    cases: tuple[Case, ...]
-    scope: str | None = None
+    cases is a tuple of Case; scope is None for a conjecture check.
+    """
+
+    __slots__ = ()
 
     @property
     def overall(self) -> str:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import collections
-import inspect
 import sys
 
 from .checks import SWEEPS, to_text
@@ -157,7 +156,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     all_ok = True
     for name in names:
         sweep = SWEEPS[name]
-        accepted = inspect.signature(sweep).parameters
+        accepted = sweep.__kwdefaults__ or {}  # every bound is keyword-only with a default
         bounds = {k: v for k, v in vars(args).items() if k in accepted and v is not None}
         for report in sweep(**bounds):
             all_ok &= report.first_failure is None

@@ -10,7 +10,7 @@ binomial parity, using neither identity: it is the oracle they are checked by.
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 from .polygf2 import PolyGF2, _square_bits
 

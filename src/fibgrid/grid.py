@@ -17,8 +17,6 @@ route to d_n is independent of the GCD route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 __all__ = ["LightState", "GridSystem", "StateFormatError"]
 
 
@@ -31,21 +29,45 @@ class StateFormatError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
 class LightState:
     """On/off assignment for an n x n board; bit r*n + c is cell (r, c).
 
-    Doubles as a press pattern, which is the same kind of object.
+    Doubles as a press pattern, which is the same kind of object.  Values
+    hash and compare by (n, bits).  Both slots are written once, in
+    __init__; assigning or deleting any attribute raises AttributeError.
     """
 
-    n: int
-    bits: int = 0
+    __slots__ = ("n", "bits")
+    __match_args__ = ("n", "bits")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, bits: int = 0) -> None:
+        if n < 1:
             raise ValueError("side length must be >= 1")
-        if not 0 <= self.bits < 1 << (self.n * self.n):
+        # bit_length, not a compare with 1 << n*n, which would build an n*n-bit int
+        if bits < 0 or bits.bit_length() > n * n:
             raise ValueError("state bits out of range for the board size")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "bits", bits)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self.n, self.bits)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.bits) == (other.n, other.bits)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.bits))
+
+    def __repr__(self) -> str:
+        return f"LightState(n={self.n!r}, bits={self.bits!r})"
 
     @classmethod
     def all_on(cls, n: int) -> "LightState":

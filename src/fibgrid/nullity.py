@@ -21,8 +21,8 @@ basis split does not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from collections import namedtuple
+from collections.abc import Callable, Iterable
 
 from .fibpoly import _fib_pair, fib_hmp
 from .polygf2 import _gcd_bits, _subst_bits, _y_parts
@@ -115,13 +115,10 @@ def delta_via_gcd(n: int) -> int:
     return _d_and_delta(n)[1]
 
 
-@dataclass(frozen=True)
-class NullityRecord:
+class NullityRecord(namedtuple("NullityRecord", "n d delta")):
     """One table row: side length n, kernel dimension d, correction delta."""
 
-    n: int
-    d: int
-    delta: int
+    __slots__ = ()
 
 
 def table(n_max: int) -> list[NullityRecord]:

@@ -10,7 +10,6 @@ Every nonzero polynomial is monic, which makes GCDs unique outright.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 __all__ = [
     "MAX_PARSE_DEGREE",
@@ -73,16 +72,26 @@ def _gcd_bits(a: int, b: int) -> int:
     return a
 
 
+def _lanes(pattern: bytes) -> int:
+    """pattern repeated once per byte value: one mask for a whole table at once.
+
+    A table's 256 entries are built together, entry b in lane b of one int.
+    Shifts stay inside a lane, because every mask clears the bits that a
+    shift carries over from the next lane.
+    """
+    return int.from_bytes(pattern * 256, "little")
+
+
 def _spread_tables() -> tuple[bytes, bytes]:
     """Byte -> its low and high nibble with a zero bit after each coefficient."""
-    low, high = bytearray(256), bytearray(256)
-    for byte in range(256):
-        v = 0
-        for i in range(8):
-            if byte >> i & 1:
-                v |= 1 << (2 * i)
-        low[byte], high[byte] = v & 0xFF, v >> 8
-    return bytes(low), bytes(high)
+    wide = bytearray(512)  # 16-bit lanes
+    wide[0::2] = bytes(range(256))
+    v = int.from_bytes(wide, "little")
+    v = (v | v << 4) & _lanes(b"\x0f\x0f")  # nibbles 4 bits apart,
+    v = (v | v << 2) & _lanes(b"\x33\x33")  # then bit pairs, then single bits
+    v = (v | v << 1) & _lanes(b"\x55\x55")
+    out = v.to_bytes(512, "little")
+    return out[0::2], out[1::2]
 
 
 _SPREAD_LOW, _SPREAD_HIGH = _spread_tables()
@@ -134,19 +143,18 @@ def _descent_tables() -> tuple[bytes, bytes, bytes, bytes]:
     into the low or the high nibble (the inverse of _SPREAD_LOW and
     _SPREAD_HIGH); the odd tables pack the d_k the same way.
     """
-    even_low, even_high = bytearray(256), bytearray(256)
-    odd_low, odd_high = bytearray(256), bytearray(256)
-    for byte in range(256):
-        v = byte
-        v ^= (v >> 4) & 0x0C  # t = 2 on the whole byte
-        v ^= (v >> 2) & 0x3C
-        v ^= (v >> 2) & 0x22  # t = 1 on each nibble
-        v ^= (v >> 1) & 0x66
-        even = sum((v >> (2 * i) & 1) << i for i in range(4))
-        odd = sum((v >> (2 * i + 1) & 1) << i for i in range(4))
-        even_low[byte], even_high[byte] = even, even << 4
-        odd_low[byte], odd_high[byte] = odd, odd << 4
-    return bytes(even_low), bytes(even_high), bytes(odd_low), bytes(odd_high)
+    v = int.from_bytes(bytes(range(256)), "little")  # 8-bit lanes
+    v ^= (v >> 4) & _lanes(b"\x0c")  # t = 2 on the whole byte
+    v ^= (v >> 2) & _lanes(b"\x3c")
+    v ^= (v >> 2) & _lanes(b"\x22")  # t = 1 on each nibble
+    v ^= (v >> 1) & _lanes(b"\x66")
+    tables = []
+    for packed in (v, v >> 1):  # the c_k, then the d_k, at bits 0, 2, 4, 6
+        packed &= _lanes(b"\x55")
+        packed = (packed | packed >> 1) & _lanes(b"\x33")  # gathered into bits 0..3
+        packed = (packed | packed >> 2) & _lanes(b"\x0f")
+        tables += [packed.to_bytes(256, "little"), (packed << 4).to_bytes(256, "little")]
+    return tuple(tables)
 
 
 _EVEN_LOW, _EVEN_HIGH, _ODD_LOW, _ODD_HIGH = _descent_tables()
@@ -202,20 +210,40 @@ def _y_parts(z: int) -> tuple[int, int]:
 MAX_PARSE_DEGREE = 1 << 24
 
 
-@dataclass(frozen=True, slots=True)
 class PolyGF2:
     """An immutable polynomial over the two-element field.
 
     ``bits`` packs the coefficients, bit i being the coefficient of x^i.
     The zero polynomial has degree -1.  Values hash and compare by their
-    packed bits, so structural equality is semantic equality.
+    packed bits, so structural equality is semantic equality.  The one slot
+    is written once, in __init__; assigning or deleting any attribute
+    raises AttributeError.
     """
 
-    bits: int = 0
+    __slots__ = ("bits",)
+    __match_args__ = ("bits",)
 
-    def __post_init__(self) -> None:
-        if self.bits < 0:
+    def __init__(self, bits: int = 0) -> None:
+        if bits < 0:
             raise ValueError("coefficient bits must be nonnegative")
+        object.__setattr__(self, "bits", bits)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self.bits,)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.bits == other.bits
+
+    def __hash__(self) -> int:
+        return hash((self.bits,))
 
     # construction
 

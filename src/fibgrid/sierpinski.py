@@ -9,20 +9,18 @@ deg f_n = n - 1.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator
+from collections import namedtuple
+from collections.abc import Iterator
 
 from .fibpoly import fib_sequence
 
 __all__ = ["SierpinskiRaster", "render", "to_pbm", "to_ascii"]
 
 
-@dataclass(frozen=True)
-class SierpinskiRaster:
+class SierpinskiRaster(namedtuple("SierpinskiRaster", "n_rows rows")):
     """Bit rows of f_1 .. f_{n_rows}; rows[k] packs row k+1, bit i = column i."""
 
-    n_rows: int
-    rows: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def width(self) -> int:

@@ -528,3 +528,23 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "x^5 + x\n"
+
+
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    # which modules a cold `import fibgrid.cli` adds, not how long it takes;
+    # -S keeps site from loading any of them first
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "before = set(sys.modules)\n"
+        "import fibgrid.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    src = str(Path(__file__).parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, src], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "fibgrid.cli" in added
+    assert not added & {"dataclasses", "inspect", "typing"}

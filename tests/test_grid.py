@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -235,6 +236,19 @@ def test_state_validation():
         LightState(2, 1 << 4)
     with pytest.raises(ValueError):
         LightState(2, -1)
+    assert LightState(2, 15).bits == 15  # the top cell of a side-2 board
+
+
+def test_state_range_check_builds_no_board_sized_int():
+    # 1 << n*n at n = 100,000 would be a 1.2 GiB int
+    tracemalloc.start()
+    try:
+        state = LightState(100_000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (state.n, state.bits) == (100_000, 1)
+    assert peak < 1 << 16
 
 
 @pytest.mark.parametrize(

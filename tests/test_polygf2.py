@@ -19,6 +19,12 @@ from fibgrid import (
 )
 from fibgrid.polygf2 import (
     _DESCENT_CACHE_BYTES,
+    _EVEN_HIGH,
+    _EVEN_LOW,
+    _ODD_HIGH,
+    _ODD_LOW,
+    _SPREAD_HIGH,
+    _SPREAD_LOW,
     MAX_PARSE_DEGREE,
     _cached_block_mask,
     _gcd_bits,
@@ -315,6 +321,31 @@ def ascend(p: int) -> int:
 def join(a: int, b: int) -> int:
     """A(y) + x B(y) for y = x^2 + x."""
     return ascend(a) ^ (ascend(b) << 1)
+
+
+def test_translate_tables_match_per_bit_loops():
+    # each table entry rebuilt one coefficient bit at a time
+    spread_low, spread_high = bytearray(256), bytearray(256)
+    even_low, even_high = bytearray(256), bytearray(256)
+    odd_low, odd_high = bytearray(256), bytearray(256)
+    for byte in range(256):
+        v = 0
+        for i in range(8):
+            if byte >> i & 1:
+                v |= 1 << (2 * i)
+        spread_low[byte], spread_high[byte] = v & 0xFF, v >> 8
+        v = byte
+        v ^= (v >> 4) & 0x0C
+        v ^= (v >> 2) & 0x3C
+        v ^= (v >> 2) & 0x22
+        v ^= (v >> 1) & 0x66
+        even = sum((v >> (2 * i) & 1) << i for i in range(4))
+        odd = sum((v >> (2 * i + 1) & 1) << i for i in range(4))
+        even_low[byte], even_high[byte] = even, even << 4
+        odd_low[byte], odd_high[byte] = odd, odd << 4
+    assert (_SPREAD_LOW, _SPREAD_HIGH) == (spread_low, spread_high)
+    assert (_EVEN_LOW, _EVEN_HIGH) == (even_low, even_high)
+    assert (_ODD_LOW, _ODD_HIGH) == (odd_low, odd_high)
 
 
 def test_descend_inverts_ascend():

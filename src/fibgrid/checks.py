@@ -10,11 +10,11 @@ Which route each sweep reads: d_of_n, the factored fast route, is checked
 by `oracle` against the light-chasing nullity of `GridSystem`, which builds
 no polynomial, and is the value under test in `all2` and `powers`.
 `recurrence`, `delta` and `equivalence` check identities that d_of_n uses
-to factor f_{n+1}, so they read `_d_and_delta` and never d_of_n: it splits
+to factor f_{n+1}, so they read `_d_and_delta` and never d_of_n: it builds
 the unreduced f_{n+1} as A(y) + x B(y), y = x^2 + x, and takes d from
-gcd(A, B), which rests on that basis split and on no doubling identity, and
-delta from the multiplicities of x and x+1 in f_{n+1}, not from the mod-3
-closed form.
+gcd(A, B), which rests on that basis and on no doubling identity of d, and
+delta from whether A and B have the same y-adic valuation, not from the
+mod-3 closed form.
 
 Two kinds of report share one type.  A conjecture check (scope None) keeps
 every case and renders as a per-case table.  A range sweep sets scope to a
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import math
-import random
 from collections import namedtuple
 
 from .fibpoly import fib_hmp
@@ -150,6 +149,8 @@ def hmp_gcd(*, nmax: int = 2000, trials: int = 1000, seed: int = 1) -> list[Repo
     """gcd(f_m, f_n) == f_gcd(m,n) on random index pairs m, n in 1..nmax."""
     _require("nmax", nmax)
     _require("trials", trials)
+    import random  # deferred: every CLI command imports this module
+
     rng = random.Random(seed)
 
     def trial() -> tuple[str, PolyGF2, PolyGF2]:
@@ -164,6 +165,8 @@ def hmp_gcd(*, nmax: int = 2000, trials: int = 1000, seed: int = 1) -> list[Repo
 def ore(*, trials: int = 10000, seed: int = 1) -> list[Report]:
     """The factored product GCD against gcd(ab, cd) on random quartets, degrees <= 256."""
     _require("trials", trials)
+    import random  # deferred, as in hmp_gcd
+
     rng = random.Random(seed)
 
     def poly() -> PolyGF2:

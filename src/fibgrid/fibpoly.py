@@ -4,7 +4,9 @@ f_0 = 0, f_1 = 1, f_n = x*f_{n-1} + f_{n-2}.  Over GF(2) the family is
 strictly divisibility-ordered (f_m | f_n whenever m | n).
 
 One index comes from the doubling ladder (fib_hmp), a run f_0 .. f_n from
-the recurrence (fib_sequence).  fib_binomial reads each coefficient off a
+the recurrence (fib_sequence).  The nullity routes run the same two builds
+on the y-parts of f_n instead (nullity), so fib_hmp serves `fib` and the
+family's own identity checks.  fib_binomial reads each coefficient off a
 binomial parity, using neither identity: it is the oracle they are checked by.
 """
 
@@ -49,27 +51,18 @@ def fib_binomial(n: int) -> PolyGF2:
     return PolyGF2(bits)
 
 
-def _fib_pair(m: int) -> tuple[int, int]:
-    """(f_m, f_{m+1}) as raw bits, by the doubling ladder, m >= 0.
-
-    Over GF(2), f_{2j} = x*f_j^2 and f_{2j+1} = f_j^2 + f_{j+1}^2, so each
-    bit of m costs two squarings, which are linear-time bit interleaves,
-    and one shift.
-    """
-    a, b = 0, 1  # f_0, f_1
-    for bit in bin(m)[2:]:
-        a2, b2 = _square_bits(a), _square_bits(b)
-        a, b = (a2 ^ b2, b2 << 1) if bit == "1" else (a2 << 1, a2 ^ b2)
-    return a, b
-
-
 def fib_hmp(n: int) -> PolyGF2:
     """f_n via the doubling ladder, n >= 0.
 
     The ladder's even step is the hmp identity f_{2m} = x*f_m^2; its odd
-    step is f_{2m+1} = f_m^2 + f_{m+1}^2.
+    step is f_{2m+1} = f_m^2 + f_{m+1}^2.  Over GF(2) squaring is a
+    linear-time bit interleave, so each bit of n costs two squarings and
+    one shift.
     """
     if n < 0:
         raise ValueError("index must be nonnegative")
-    return PolyGF2(_fib_pair(n)[0])
-
+    a, b = 0, 1  # f_0, f_1
+    for bit in bin(n)[2:]:
+        a2, b2 = _square_bits(a), _square_bits(b)
+        a, b = (a2 ^ b2, b2 << 1) if bit == "1" else (a2 << 1, a2 ^ b2)
+    return PolyGF2(a)

@@ -4,19 +4,20 @@ The all-press matrix of the n x n grid has nullity
 d_n = deg gcd(f_{n+1}(x), f_{n+1}(x+1)) over GF(2), so the whole table
 reduces to one GCD per side length.  The correction term
 delta_n = d_{2n+1} - 2 d_n is always 0 or 2 and has both a closed form
-(2 exactly when 3 | n+1) and a direct form from the multiplicities of x
-and x+1 in f_{n+1}; both are provided, and the sweeps in checks tie
-everything together.
+(2 exactly when 3 | n+1) and a direct form from the GCD of f_{n+1}(x) and
+f_{n+1}(x+1); both are provided, and the sweeps in checks tie everything
+together.
 
-Every deg gcd(p(x), p(x+1)) is taken in the basis {1, x} of GF(2)[x]
-over GF(2)[y], y = x^2 + x: with p = A(y) + x B(y), it is 2 deg gcd(A, B),
-one Euclid at half the degree of p (_sigma_gcd_degree).  d_of_n splits a
-factor of f_{n+1} at half the degree of its odd part, built by the doubling
-ladder; table streams the y-parts of that factor for each odd part in turn
-by the defining recurrence.  _d_and_delta splits the unreduced f_{n+1}; it
-is the reference that the identity sweeps (recurrence, delta, equivalence)
-read, because d_of_n's factoring rests on those same identities and the
-basis split does not.
+Every f_m is built in the basis {1, x} of GF(2)[x] over GF(2)[y],
+y = x^2 + x, as f_m = A_m(y) + x B_m(y), and never in x: _y_pair runs the
+doubling ladder on (A, B) pairs, and table streams them by the defining
+recurrence.  y is fixed by x -> x+1, so for p = A(y) + x B(y),
+deg gcd(p(x), p(x+1)) = 2 deg gcd(A, B), one Euclid at half the degree of
+p (_gcd_degree).  d_of_n takes it on a factor of f_{n+1} at half the degree
+of its odd part.  _d_and_delta takes it on the unreduced f_{n+1}, with
+delta from the y-adic valuations of A and B; it is the reference that the
+identity sweeps (recurrence, delta, equivalence) read, because d_of_n's
+factoring rests on those same identities and the basis does not.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable, Iterable
 
-from .fibpoly import _fib_pair, fib_hmp
-from .polygf2 import _gcd_bits, _subst_bits, _y_parts
+from .polygf2 import _gcd_bits, _square_bits
 
 __all__ = [
     "NullityRecord",
@@ -42,22 +42,41 @@ def _require_side(n: int) -> None:
         raise ValueError("grid side length must be >= 1")
 
 
-def _sigma_gcd_degree(h: int) -> int:
-    """deg gcd(h, h(x+1)) for nonzero h.
+def _gcd_degree(a: int, b: int) -> int:
+    """deg gcd(p(x), p(x+1)) for p = A(y) + x B(y), y = x^2 + x, given A and B.
 
-    Write h = A(y) + x B(y) with y = x^2 + x (_y_parts).  y is fixed by
-    x -> x+1, so h(x+1) = A(y) + (x+1) B(y) = h + B(y), and
-    gcd(h, h(x+1)) = gcd(h, B(y)) = gcd(A(y), B(y)).  GF(2)[x] is free over
+    y is fixed by x -> x+1, so p(x+1) = p + B(y), and
+    gcd(p, p(x+1)) = gcd(p, B(y)) = gcd(A(y), B(y)).  GF(2)[x] is free over
     GF(2)[y] with basis {1, x}, so that GCD is gcd(A, B) taken in y, whose
     x-degree is twice its y-degree.
     """
-    return 2 * (_gcd_bits(*_y_parts(h)).bit_length() - 1)
+    return 2 * (_gcd_bits(a, b).bit_length() - 1)
+
+
+def _y_pair(m: int) -> tuple[int, int, int, int]:
+    """(A_m, B_m, A_{m+1}, B_{m+1}) with f_j = A_j(y) + x B_j(y), y = x^2 + x, m >= 0.
+
+    The doubling ladder f_{2j} = x f_j^2, f_{2j+1} = f_j^2 + f_{j+1}^2, run
+    on (A, B) pairs.  With x^2 = x + y, squaring is
+    (A + x B)^2 = (A^2 + y B^2) + x B^2, with A^2 and B^2 squared in y, and
+    multiplying by x is x (A + x B) = y B + x (A + B).
+    """
+    a0, b0, a1, b1 = 0, 0, 1, 0  # f_0, f_1
+    for bit in bin(m)[2:]:
+        b0, b1 = _square_bits(b0), _square_bits(b1)
+        a0, a1 = _square_bits(a0) ^ (b0 << 1), _square_bits(a1) ^ (b1 << 1)
+        # (a0, b0) is now f_j^2 and (a1, b1) is f_{j+1}^2
+        if bit == "1":
+            a0, b0, a1, b1 = a0 ^ a1, b0 ^ b1, b1 << 1, a1 ^ b1
+        else:
+            a0, b0, a1, b1 = b0 << 1, a0 ^ b0, a0 ^ a1, b0 ^ b1
+    return a0, b0, a1, b1
 
 
 def _odd_gcd_degree(b: int) -> int:
     """deg gcd(h, h(x+1)) for odd b, where h = f_m + f_{m+1} and m = (b-1)/2."""
-    lo, hi = _fib_pair(b >> 1)
-    return _sigma_gcd_degree(lo ^ hi)
+    a0, b0, a1, b1 = _y_pair(b >> 1)
+    return _gcd_degree(a0 ^ a1, b0 ^ b1)
 
 
 def _d_from(n: int, odd_gcd_degree: Callable[[int], int]) -> int:
@@ -76,8 +95,9 @@ def d_of_n(n: int) -> int:
     f_{n+1} = x^(2^k - 1) * h^(2^(k+1)).  x never divides f_b, and x+1
     divides it exactly when 3 | b (f_b(1) is the Fibonacci number F_b mod 2),
     so the GCD is gcd(h, h(x+1))^(2^(k+1)) times (x^2 + x)^(2^k - 1) when
-    3 | b.  With h = A(y) + x B(y), y = x^2 + x, its degree is twice that of
-    gcd(A, B), a Euclid at half the degree of h (_odd_gcd_degree).
+    3 | b.  The ladder builds h as A(y) + x B(y), y = x^2 + x (_y_pair), and
+    its degree is twice that of gcd(A, B), a Euclid at half the degree of h
+    (_gcd_degree).
     """
     _require_side(n)
     return _d_from(n, _odd_gcd_degree)
@@ -90,26 +110,27 @@ def delta_closed_form(n: int) -> int:
 
 
 def _d_and_delta(n: int) -> tuple[int, int]:
-    """(d_n, delta_n) from the unreduced f = f_{n+1}, by no doubling identity.
+    """(d_n, delta_n) from the unreduced f = f_{n+1}, by no doubling identity of d.
 
-    d_n is _sigma_gcd_degree(f), which rests only on splitting f in the
-    basis {1, x} over GF(2)[y], y = x^2 + x.
-    delta_n = 2 deg gcd(x, f(x+1)/g), g = gcd(f, f(x+1)).  The x
-    multiplicity of g is the smaller of those of f and f(x+1), and that of
-    f(x+1) is the x+1 multiplicity of f.  So x divides f(x+1)/g exactly
-    when x divides f(x+1) more often than it divides f.
+    With f = A(y) + x B(y), y = x^2 + x, d_n is _gcd_degree(A, B), which
+    rests only on the basis {1, x} over GF(2)[y].
+    delta_n = 2 deg gcd(x, f(x+1)/g), g = gcd(f, f(x+1)) = G(y) for
+    G = gcd(A, B).  f(x+1)/g = (A/G + B/G)(y) + x (B/G)(y) is
+    (A/G)(0) + (B/G)(0) at x = 0, and y divides at most one of the coprime
+    A/G and B/G.  So x divides f(x+1)/g exactly when y divides neither,
+    that is when A and B have the same y-adic valuation.
     """
-    f = fib_hmp(n + 1).bits
-    fs = _subst_bits(f)
-    # z & -z is x^(x multiplicity of z)
-    return _sigma_gcd_degree(f), 2 if fs & -fs > f & -f else 0
+    a, b = _y_pair(n + 1)[:2]
+    # z & -z is y^(y-adic valuation of z)
+    return _gcd_degree(a, b), 2 if a & -a == b & -b else 0
 
 
 def delta_via_gcd(n: int) -> int:
     """delta_n from its division form, 2 * deg gcd(x, f_{n+1}(x+1) / g).
 
-    Here g = gcd(f_{n+1}(x), f_{n+1}(x+1)); the x multiplicities of
-    f_{n+1}(x) and f_{n+1}(x+1) decide it without dividing (_d_and_delta).
+    Here g = gcd(f_{n+1}(x), f_{n+1}(x+1)).  With f_{n+1} = A(y) + x B(y),
+    y = x^2 + x, x divides the quotient exactly when A and B have the same
+    y-adic valuation, so nothing is divided (_d_and_delta).
     """
     _require_side(n)
     return _d_and_delta(n)[1]
@@ -125,16 +146,16 @@ def table(n_max: int) -> list[NullityRecord]:
     """Records for every n in 1..n_max, in order.
 
     Rows whose n + 1 share an odd part 2m + 1 share one GCD, on h = f_m +
-    f_{m+1}, where d_of_n runs the ladder.  The recurrence streams f_m =
-    A_m(y) + x B_m(y) in the y-parts _sigma_gcd_degree splits h into:
-    x^2 = x + y turns f_{m+1} = x f_m + f_{m-1} into A_{m+1} = y B_m + A_{m-1}
-    and B_{m+1} = A_m + B_m + B_{m-1}.
+    f_{m+1}, where d_of_n runs the ladder.  The recurrence streams the same
+    y-parts f_m = A_m(y) + x B_m(y) as _y_pair: x^2 = x + y turns
+    f_{m+1} = x f_m + f_{m-1} into A_{m+1} = y B_m + A_{m-1} and
+    B_{m+1} = A_m + B_m + B_{m-1}.
     """
     _require_side(n_max)
     degrees = []  # degrees[m]: deg gcd(h, h(x+1)) for the odd part 2m + 1
     a0, b0, a1, b1 = 0, 0, 1, 0  # y-parts of f_m and f_{m+1}, from m = 0
     for _ in range(n_max // 2 + 1):
-        degrees.append(2 * (_gcd_bits(a0 ^ a1, b0 ^ b1).bit_length() - 1))
+        degrees.append(_gcd_degree(a0 ^ a1, b0 ^ b1))
         a0, b0, a1, b1 = a1, b1, (b1 << 1) ^ a0, a1 ^ b1 ^ b0
     return [
         NullityRecord(n, _d_from(n, lambda b: degrees[b >> 1]), delta_closed_form(n))

@@ -9,8 +9,6 @@ Every nonzero polynomial is monic, which makes GCDs unique outright.
 
 from __future__ import annotations
 
-import functools
-
 __all__ = [
     "MAX_PARSE_DEGREE",
     "PolyGF2",
@@ -133,73 +131,6 @@ def _subst_bits(z: int) -> int:
         z ^= (z >> stride) & mask
         stride <<= 1
     return z
-
-
-def _descent_tables() -> tuple[bytes, bytes, bytes, bytes]:
-    """Byte tables for the two byte-local descent levels, t = 2 and t = 1.
-
-    A folded byte holds the sum of (c_k + d_k x) y^k, y = x^2 + x, over
-    k < 4, c_k at bit 2k and d_k at bit 2k+1.  The even tables pack the c_k
-    into the low or the high nibble (the inverse of _SPREAD_LOW and
-    _SPREAD_HIGH); the odd tables pack the d_k the same way.
-    """
-    v = int.from_bytes(bytes(range(256)), "little")  # 8-bit lanes
-    v ^= (v >> 4) & _lanes(b"\x0c")  # t = 2 on the whole byte
-    v ^= (v >> 2) & _lanes(b"\x3c")
-    v ^= (v >> 2) & _lanes(b"\x22")  # t = 1 on each nibble
-    v ^= (v >> 1) & _lanes(b"\x66")
-    tables = []
-    for packed in (v, v >> 1):  # the c_k, then the d_k, at bits 0, 2, 4, 6
-        packed &= _lanes(b"\x55")
-        packed = (packed | packed >> 1) & _lanes(b"\x33")  # gathered into bits 0..3
-        packed = (packed | packed >> 2) & _lanes(b"\x0f")
-        tables += [packed.to_bytes(256, "little"), (packed << 4).to_bytes(256, "little")]
-    return tuple(tables)
-
-
-_EVEN_LOW, _EVEN_HIGH, _ODD_LOW, _ODD_HIGH = _descent_tables()
-
-
-def _block_mask(k: int, t: int, blocks: int) -> int:
-    """Ones on bits [t, k t) of each of the given number of blocks of 4t bits."""
-    return int.from_bytes(((1 << k * t) - (1 << t)).to_bytes(t >> 1, "little") * blocks, "little")
-
-
-# Descents on at most this many bytes keep their masks, which take longer to
-# build than the folds; above it, masks (200 KiB at 8 KiB) are rebuilt, not held.
-_DESCENT_CACHE_BYTES = 1024
-_cached_block_mask = functools.cache(_block_mask)
-
-
-def _y_parts(z: int) -> tuple[int, int]:
-    """(A, B) with z = A(y) + x B(y), y = x^2 + x: z in the basis {1, x} over GF(2)[y].
-
-    Over GF(2), (x^2 + x)^t = x^(2t) + x^t for t a power of two.  A block
-    g_lo + x^t g0 + x^(2t) g1 + x^(3t) g2 of 4t bits therefore equals
-    P + (x^2 + x)^t Q with P = [g_lo, g0+g1+g2] and Q = [g1+g2, g2]: one
-    fold, two masked shift-XORs.  Folding every block from the top level
-    down to t = 1 writes z as the sum of (c_k + d_k x)(x^2 + x)^k, c_k at
-    bit 2k and d_k at bit 2k+1; A packs the c_k and B the d_k.  The levels
-    t = 2 and t = 1 stay inside one byte and run in the translate tables,
-    which also do the packing.
-    """
-    if z == 0:
-        return 0, 0
-    nbytes = 1 << ((z.bit_length() - 1) >> 3).bit_length()  # a power of two
-    mask = _cached_block_mask if nbytes <= _DESCENT_CACHE_BYTES else _block_mask
-    t = 2 * nbytes  # the top level: one block of 4t bits holds all of z
-    while t > 2:
-        blocks = 2 * nbytes // t
-        z ^= (z >> 2 * t) & mask(2, t, blocks)
-        z ^= (z >> t) & mask(3, t, blocks)
-        t >>= 1
-    data = z.to_bytes(nbytes, "little")
-    lo, hi = data[0::2], data[1::2]
-    a = int.from_bytes(lo.translate(_EVEN_LOW), "little")
-    b = int.from_bytes(lo.translate(_ODD_LOW), "little")
-    a |= int.from_bytes(hi.translate(_EVEN_HIGH), "little")
-    b |= int.from_bytes(hi.translate(_ODD_HIGH), "little")
-    return a, b
 
 
 # -- public value type -------------------------------------------------------

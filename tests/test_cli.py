@@ -530,14 +530,17 @@ def test_console_entry_point():
     assert proc.stdout == "x^5 + x\n"
 
 
-def test_import_loads_no_dataclasses_inspect_or_typing():
-    # which modules a cold `import fibgrid.cli` adds, not how long it takes;
-    # -S keeps site from loading any of them first
+def _modules_after_cli_import() -> tuple[set[str], set[str]]:
+    """(all loaded modules, modules added) after a cold `import fibgrid.cli`.
+
+    -S keeps site from loading any of them first.
+    """
     code = (
         "import sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
         "before = set(sys.modules)\n"
         "import fibgrid.cli\n"
+        "print(' '.join(sorted(sys.modules)))\n"
         "print(' '.join(sorted(set(sys.modules) - before)))\n"
     )
     src = str(Path(__file__).parent.parent / "src")
@@ -545,6 +548,19 @@ def test_import_loads_no_dataclasses_inspect_or_typing():
         [sys.executable, "-I", "-S", "-c", code, src], capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    added = set(proc.stdout.split())
+    loaded, added = proc.stdout.split("\n")[:2]
+    return set(loaded.split()), set(added.split())
+
+
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    # which modules a cold `import fibgrid.cli` adds, not how long it takes
+    _, added = _modules_after_cli_import()
     assert "fibgrid.cli" in added
     assert not added & {"dataclasses", "inspect", "typing"}
+
+
+def test_import_loads_no_random():
+    # only the seeded sweeps use random, and they import it when they run
+    loaded, _ = _modules_after_cli_import()
+    assert "fibgrid.cli" in loaded
+    assert "random" not in loaded

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from fibgrid import (
@@ -13,6 +13,7 @@ from fibgrid import (
     d_of_n,
     delta_closed_form,
     delta_via_gcd,
+    fib_binomial,
     fib_hmp,
     format_csv,
     gcd,
@@ -20,9 +21,12 @@ from fibgrid import (
     table,
 )
 from fibgrid.checks import all2, powers, recurrence
-from fibgrid.nullity import _d_and_delta, _sigma_gcd_degree
+from fibgrid.nullity import _d_and_delta, _gcd_degree, _y_pair
+from fibgrid.polygf2 import _mul_bits
+from ybasis import join
 
 polys = st.binary(max_size=128).map(lambda b: PolyGF2(int.from_bytes(b, "little")))
+y_polys = st.binary(max_size=64).map(lambda b: int.from_bytes(b, "little"))
 
 
 def test_pinned_values():
@@ -32,13 +36,59 @@ def test_pinned_values():
         assert d_of_n(n) == d, f"n={n}"
 
 
-@given(polys.filter(bool), polys, polys)
-def test_sigma_gcd_degree_is_the_gcd_with_the_shifted_copy(p, q, r):
-    # arbitrary f, and f with the shared factors q(x) q(x+1) and (r(x) r(x+1))^2
-    qq = q * subst_x_plus_1(q) if q else PolyGF2(1)
-    rr = r * subst_x_plus_1(r) if r else PolyGF2(1)
-    for f in (p, p * qq, p * qq * rr * rr):
-        assert _sigma_gcd_degree(f.bits) == gcd(f, subst_x_plus_1(f)).degree
+def _check_y_pair(m: int, f_m: int, f_m1: int) -> None:
+    a0, b0, a1, b1 = _y_pair(m)
+    assert join(a0, b0) == f_m, f"m={m}"
+    assert join(a1, b1) == f_m1, f"m={m}"
+
+
+def test_y_pair_matches_the_binomial_form():
+    # the binomial form uses neither the ladder nor the recurrence
+    f = [fib_binomial(m).bits for m in range(2002)]
+    for m in range(2001):
+        _check_y_pair(m, f[m], f[m + 1])
+    # either side of a power of two, where the ladder gains a step
+    for j in range(17):
+        for m in (2**j - 1, 2**j, 2**j + 1):
+            _check_y_pair(m, fib_binomial(m).bits, fib_binomial(m + 1).bits)
+
+
+@given(st.integers(0, 30_000))
+def test_y_pair_matches_the_binomial_form_property(m):
+    _check_y_pair(m, fib_binomial(m).bits, fib_binomial(m + 1).bits)
+
+
+@given(y_polys, y_polys, y_polys.filter(bool))
+def test_gcd_degree_is_the_gcd_with_the_shifted_copy(a, b, c):
+    # arbitrary A and B, then times a shared factor C(y) and its square
+    assume(a | b)
+    for shared in (1, c, _mul_bits(c, c)):
+        a_, b_ = _mul_bits(a, shared), _mul_bits(b, shared)
+        f = PolyGF2(join(a_, b_))
+        assert _gcd_degree(a_, b_) == gcd(f, subst_x_plus_1(f)).degree
+
+
+def _times_x(a: int, b: int) -> tuple[int, int]:
+    return b << 1, a ^ b  # x (A + x B) = y B + x (A + B)
+
+
+def _times_x_plus_1(a: int, b: int) -> tuple[int, int]:
+    return a ^ (b << 1), a  # (x + 1)(A + x B) = (A + y B) + x A
+
+
+@given(y_polys, y_polys, st.integers(0, 5), st.integers(0, 5))
+def test_delta_rule_is_the_x_multiplicity_comparison(a, b, i, j):
+    # A and B have the same y-adic valuation exactly when x divides f(x+1)
+    # more often than it divides f, for f = A(y) + x B(y) times x^i (x+1)^j
+    assume(a | b)
+    f = (PolyGF2(join(a, b) << i) * PolyGF2(0b11) ** j).bits
+    for _ in range(i):
+        a, b = _times_x(a, b)
+    for _ in range(j):
+        a, b = _times_x_plus_1(a, b)
+    assert join(a, b) == f
+    fs = subst_x_plus_1(PolyGF2(f)).bits
+    assert (a & -a == b & -b) == (fs & -fs > f & -f)
 
 
 def test_factored_route_matches_unreduced_gcd():

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import random
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -18,20 +16,14 @@ from fibgrid import (
     subst_x_plus_1,
 )
 from fibgrid.polygf2 import (
-    _DESCENT_CACHE_BYTES,
-    _EVEN_HIGH,
-    _EVEN_LOW,
-    _ODD_HIGH,
-    _ODD_LOW,
     _SPREAD_HIGH,
     _SPREAD_LOW,
     MAX_PARSE_DEGREE,
-    _cached_block_mask,
     _gcd_bits,
     _mul_bits,
     _subst_bits,
-    _y_parts,
 )
+from ybasis import ascend, join
 
 P = PolyGF2.parse
 
@@ -310,101 +302,33 @@ def test_subst_is_ring_homomorphism(p, q):
 # -- the basis {1, x} over GF(2)[y], y = x^2 + x -------------------------------
 
 
-def ascend(p: int) -> int:
-    """p(x^2 + x) by Horner's rule in y = x^2 + x."""
-    z = 0
-    for i in range(p.bit_length() - 1, -1, -1):
-        z = _mul_bits(z, 0b110) ^ (p >> i & 1)
-    return z
-
-
-def join(a: int, b: int) -> int:
-    """A(y) + x B(y) for y = x^2 + x."""
-    return ascend(a) ^ (ascend(b) << 1)
-
-
 def test_translate_tables_match_per_bit_loops():
     # each table entry rebuilt one coefficient bit at a time
     spread_low, spread_high = bytearray(256), bytearray(256)
-    even_low, even_high = bytearray(256), bytearray(256)
-    odd_low, odd_high = bytearray(256), bytearray(256)
     for byte in range(256):
         v = 0
         for i in range(8):
             if byte >> i & 1:
                 v |= 1 << (2 * i)
         spread_low[byte], spread_high[byte] = v & 0xFF, v >> 8
-        v = byte
-        v ^= (v >> 4) & 0x0C
-        v ^= (v >> 2) & 0x3C
-        v ^= (v >> 2) & 0x22
-        v ^= (v >> 1) & 0x66
-        even = sum((v >> (2 * i) & 1) << i for i in range(4))
-        odd = sum((v >> (2 * i + 1) & 1) << i for i in range(4))
-        even_low[byte], even_high[byte] = even, even << 4
-        odd_low[byte], odd_high[byte] = odd, odd << 4
     assert (_SPREAD_LOW, _SPREAD_HIGH) == (spread_low, spread_high)
-    assert (_EVEN_LOW, _EVEN_HIGH) == (even_low, even_high)
-    assert (_ODD_LOW, _ODD_HIGH) == (odd_low, odd_high)
-
-
-def test_descend_inverts_ascend():
-    rng = random.Random(5)
-    cases = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (3, 3)]
-    for _ in range(200):
-        cases.append((rng.getrandbits(rng.randrange(301)), rng.getrandbits(rng.randrange(301))))
-    # top bit at a power of two and either side of it, where the blocks change size
-    for j in range(1, 11):
-        for nbits in (2**j - 1, 2**j, 2**j + 1):
-            top, low = rng.getrandbits(nbits) | 1 << (nbits - 1), rng.getrandbits(nbits)
-            cases += [(top, 0), (0, top), (top, low), (low, top)]
-    for a, b in cases:
-        z = join(a, b)
-        assert _y_parts(z) == (a, b), (hex(a), hex(b))
-        assert (_subst_bits(z) == z) == (b == 0)
-
-
-def test_descend_round_trip_either_side_of_the_mask_cache():
-    rng = random.Random(11)
-    cases = []
-    # z of 4N + 1 and of 8N - 1 bits: a descent on N bytes
-    for nbytes in (_DESCENT_CACHE_BYTES // 2, _DESCENT_CACHE_BYTES, 2 * _DESCENT_CACHE_BYTES):
-        for nbits in (4 * nbytes + 1, 8 * nbytes - 1):
-            cases.append(rng.getrandbits(nbits) | 1 << (nbits - 1))
-    _cached_block_mask.cache_clear()
-    for _ in ("cold", "warm"):
-        for z in cases:
-            a, b = _y_parts(z)
-            assert join(a, b) == z
-            assert _y_parts(z ^ 0b10) == (a, b ^ 1)  # z + x
-        # only the two sizes at or below the cap keep theirs: two masks per
-        # level, at t = 2N, N, ..., 4 for a descent on N bytes
-        cached_sizes = (_DESCENT_CACHE_BYTES // 2, _DESCENT_CACHE_BYTES)
-        kept = sum(2 * ((2 * n).bit_length() - 2) for n in cached_sizes)
-        assert _cached_block_mask.cache_info().currsize == kept
 
 
 @given(polys, polys)
-def test_descend_inverts_ascend_property(a, b):
-    assert _y_parts(join(a.bits, b.bits)) == (a.bits, b.bits)
-
-
-@given(polys)
-def test_y_parts_b_vanishes_exactly_on_what_x_plus_1_fixes(p):
-    a, b = _y_parts(p.bits)
-    assert join(a, b) == p.bits
-    assert (b == 0) == (_subst_bits(p.bits) == p.bits)
+def test_y_parts_b_vanishes_exactly_on_what_x_plus_1_fixes(a, b):
+    z = join(a.bits, b.bits)
+    assert (_subst_bits(z) == z) == (b.bits == 0)
 
 
 def test_y_parts_pinned_non_invariants():
     # x, x^3 and x^2 + x + x^4 move under x -> x+1; so does anything of odd degree
     for z in (0b10, 0b1000, 0b10110, 1 << 601, ascend(0b1011) ^ 1 << 9):
         assert _subst_bits(z) != z
-        assert _y_parts(z)[1] != 0
-    assert _y_parts(0b10) == (0, 1)  # x
-    assert _y_parts(0b1000) == (0b10, 0b11)  # x^3 = x (x + y) = y + x (1 + y)
-    assert _y_parts(0b10110) == (0b100, 1)  # x^4 + x^2 + x = y^2 + x
-    assert _y_parts(0b10010) == (0b110, 0)  # x^4 + x = y^2 + y, fixed
+    assert join(0, 1) == 0b10  # x
+    assert join(0b10, 0b11) == 0b1000  # x^3 = x (x + y) = y + x (1 + y)
+    assert join(0b100, 1) == 0b10110  # x^4 + x^2 + x = y^2 + x
+    assert join(0b110, 0) == 0b10010  # x^4 + x = y^2 + y, fixed
+    assert _subst_bits(0b10010) == 0b10010
 
 
 @given(polys)

@@ -23,9 +23,11 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-# command -> {argument: largest accepted value}.  A grid side n keeps
-# kernel_basis() within 1 GiB: at most n vectors of n*n bits, 2000^3 bits
-# being 0.93 GiB.  d's GCD runs in GF(2)[x^2 + x] at half the degree of
+# command -> {argument: largest accepted value}.  At grid side 2000 oracle
+# takes about 0.8 s and 26 MiB, solve 0.9 s and 34 MiB (1.6 s at side 1983,
+# nullity 1280).  The 0.93 GiB of 2000 vectors of 2000^2 bits is the
+# library's kernel_basis(), which no command calls.
+# d's GCD runs in GF(2)[x^2 + x] at half the degree of
 # f_{n+1}'s odd part and is still quadratic, about 6 s at 2,000,000 on a
 # shared 2-core machine.  fib builds f_n by the linear ladder, but
 # --all-methods also runs the quadratic recurrence, about 25 s at 1,000,000.

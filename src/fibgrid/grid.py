@@ -11,7 +11,10 @@ row r.  Chasing the lights down leaves a residue below the last row that
 depends linearly on the first-row presses, through an n x n matrix
 M = f_{n+1}(B), where B = A_path + I acts on one row.  So
 nullity(A + I) = nullity(M), and every question about A + I is one
-elimination on M plus chases.  No Fibonacci polynomial is built here, so this
+elimination on M plus chases.  M is a polynomial in the symmetric B, so it is
+symmetric: rows of M that sum to zero name a kernel vector of M, and rows that
+sum to a residue name first-row presses that leave it.  Forward elimination
+alone therefore finds both.  No Fibonacci polynomial is built here, so this
 route to d_n is independent of the GCD route.
 """
 
@@ -120,51 +123,47 @@ class LightState:
         return self.to_text()
 
 
-def _echelon(rows: list[int], width: int) -> dict[int, int]:
+def _reduce(pivots: dict[int, int], r: int, width: int) -> int:
+    """Clear r's low width bits with pivot rows, lowest bit first.
+
+    Stops at the first bit that no pivot covers.  The bits above width sum
+    the augmentations of the pivot rows added in.
+    """
+    mask = (1 << width) - 1
+    while r & mask and (piv := pivots.get((r & -r).bit_length() - 1)) is not None:
+        r ^= piv
+    return r
+
+
+def _echelon(rows: list[int], width: int) -> tuple[dict[int, int], list[int]]:
     """Forward elimination of width-bit rows, pivoting on each row's lowest set bit.
 
-    Returns the pivot rows by pivot column.  They carry the identity
-    augmentation in bits above width, so each reduced row remembers which
-    original rows combined into it.
+    Returns the pivot rows by pivot column, and the augmentation of each row
+    that reduces to zero.  Each row carries the identity augmentation in bits
+    above width, so an augmentation names the original rows that sum to it.
     """
     mask = (1 << width) - 1
     pivots: dict[int, int] = {}
+    null: list[int] = []
     for v, row in enumerate(rows):
-        r = row | 1 << (width + v)
-        while r & mask:
-            p = (r & -r).bit_length() - 1
-            piv = pivots.get(p)
-            if piv is None:
-                pivots[p] = r
-                break
-            r ^= piv
-    return pivots
-
-
-def _back_substitute(pivots: dict[int, int], width: int, seed: int, b: int) -> int:
-    """Solve the echelon equations with the non-pivot coordinates preset.
-
-    Each pivot equation reads x_p = (track_p . b) + (row_p . x) over the
-    already-fixed higher coordinates; seed supplies the free columns.
-    """
-    x = seed
-    mask = (1 << width) - 1
-    for p in sorted(pivots, reverse=True):
-        aug = pivots[p]
-        if ((aug >> width & b).bit_count() ^ (aug & mask & x).bit_count()) & 1:
-            x |= 1 << p
-    return x
+        r = _reduce(pivots, row | 1 << (width + v), width)
+        if r & mask:
+            pivots[(r & -r).bit_length() - 1] = r
+        else:
+            null.append(r >> width)
+    return pivots, null
 
 
 class GridSystem:
     """Toggle system of the n x n grid, answered by light chasing.
 
-    The constructor eliminates the n x n residue matrix M once and reduces
-    the kernel of A + I to echelon form, pivoting on each vector's highest
-    set bit.  A kernel vector is fixed by its last row (chase upwards from
-    the bottom), so every pivot lies on the last row and the reduction runs
-    on last rows alone; each reduced vector is kept as the first row that
-    chases out to it.  The pivots are the free cells: the columns left
+    The constructor eliminates the n x n residue matrix M once, takes the
+    kernel of M from the rows that reduce to zero, and reduces the kernel
+    of A + I to echelon form, pivoting on each vector's highest set bit.  A
+    kernel vector is fixed by its last row (chase upwards from the bottom),
+    so every pivot lies on the last row and the reduction runs on last rows
+    alone; each reduced vector is kept as the first row that chases out to
+    it.  The pivots are the free cells: the columns left
     without a pivot when A + I is eliminated on lowest set bits.  Nothing
     changes after the constructor, so one instance is safe to share across
     threads.
@@ -187,18 +186,16 @@ class GridSystem:
         prev, cur = 0, int("1" + ("0" * n + "1") * (n - 1), 2)
         for _ in range(n):
             prev, cur = cur, prev ^ cur ^ (cur << n & self._full) ^ (cur >> n)
-        self._pivots = _echelon(self._split(cur), n)
+        self._pivots, null = _echelon(self._split(cur), n)
 
         # Kernel vectors of M, each packed as its chased last row above itself.
         zeros = [0] * n
         reduced: dict[int, int] = {}
-        for j in range(n):
-            if j not in self._pivots:
-                first = _back_substitute(self._pivots, n, 1 << j, 0)
-                r = self._chase(first, zeros)[n - 1] << n | first
-                while (p := r.bit_length() - 1 - n) in reduced:
-                    r ^= reduced[p]
-                reduced[p] = r
+        for first in null:
+            r = self._chase(first, zeros)[n - 1] << n | first
+            while (p := r.bit_length() - 1 - n) in reduced:
+                r ^= reduced[p]
+            reduced[p] = r
         tops = sorted(reduced)
         for i, p in enumerate(tops):
             for q in tops[i + 1 :]:
@@ -277,17 +274,18 @@ class GridSystem:
         """Press pattern that turns the given state all-off, or None if unsolvable.
 
         A chase from no first-row presses leaves a residue c; first-row
-        presses y with M y = c clear it.  Adding the kernel vector of each
-        free cell that y's chase presses leaves every free cell unpressed, so
-        the answer is unique, and one more chase gives it.  Every candidate
-        is re-applied and checked before being returned; a candidate that
-        fails the check certifies the state unsolvable, since consistent
-        systems always back-substitute to a solution.
+        presses y with M y = c clear it, and reducing c against M's pivot
+        rows names them.  Adding the kernel vector of each free cell that
+        y's chase presses leaves every free cell unpressed, so the answer is
+        unique, and one more chase gives it.  Every candidate is re-applied
+        and checked before being returned; a candidate that fails the check
+        certifies the state unsolvable, since a solvable c lies in the span
+        of M's rows and so reduces to zero.
         """
         if state.n != self.n:
             raise ValueError("state side length does not match the system")
         board = self._split(state.bits)
-        first = _back_substitute(self._pivots, self.n, 0, self._chase(0, board)[-1])
+        first = _reduce(self._pivots, self._chase(0, board)[-1], self.n) >> self.n
         last = self._chase(first, board)[-2]
         for p, kernel_first in self._kernel:
             if last >> p & 1:

@@ -10,6 +10,7 @@ import tracemalloc
 import pytest
 
 from fibgrid import GridSystem, LightState, StateFormatError
+from fibgrid.grid import _echelon
 from reference_grid import EliminationGrid
 
 
@@ -40,6 +41,23 @@ def test_matrix_is_symmetric():
         for u in range(n * n):
             for v in range(n * n):
                 assert s.row_bits(u) >> v & 1 == s.row_bits(v) >> u & 1
+
+
+def test_residue_matrix_is_symmetric_and_zero_rows_span_its_kernel():
+    # The solver rests on M = f_{n+1}(B) being symmetric: a combination of
+    # M's rows that sums to zero is then a kernel vector of M.  Column j of M
+    # is the residue left by pressing first-row cell j on an empty board.
+    for n in range(1, 65):
+        s = GridSystem(n)
+        zeros = [0] * n
+        cols = [s._chase(1 << j, zeros)[-1] for j in range(n)]
+        rows = [sum((c >> i & 1) << j for j, c in enumerate(cols)) for i in range(n)]
+        assert rows == cols, f"n={n}"
+        _, null = _echelon(rows, n)
+        assert len(null) == s.nullity(), f"n={n}"
+        for first in null:
+            assert first != 0
+            assert s._chase(first, zeros)[-1] == 0, f"n={n}"
 
 
 def test_chase_matches_elimination_reference():

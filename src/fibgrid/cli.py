@@ -28,7 +28,7 @@ EXIT_USAGE = 2
 # nullity 1280).  The 0.93 GiB of 2000 vectors of 2000^2 bits is the
 # library's kernel_basis(), which no command calls.
 # d's GCD runs in GF(2)[x^2 + x] at half the degree of
-# f_{n+1}'s odd part and is still quadratic, about 6 s at 2,000,000 on a
+# f_{n+1}'s odd part and is still quadratic, 5.6-6.3 s at 2,000,000 on a
 # shared 2-core machine.  fib builds f_n by the linear ladder, but
 # --all-methods also runs the quadratic recurrence, about 25 s at 1,000,000.
 # table runs one GCD per odd part of n + 1, about 19 s at 30,000.  A raster

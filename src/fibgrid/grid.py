@@ -82,8 +82,14 @@ class LightState:
 
     @classmethod
     def from_text(cls, text: str) -> "LightState":
-        """Parse the exchange format: a side-length line, then n rows of 0/1 digits."""
-        lines = text.splitlines()
+        """Parse the exchange format: a side-length line, then n rows of 0/1 digits.
+
+        Lines end in \\n, \\r\\n or \\r, the line ends open() translates;
+        str.splitlines would also split on \\x0c, \\x85 and others.
+        """
+        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        if not lines[-1]:
+            lines.pop()  # the final line end closes the last line
         if not lines or not lines[0].strip():
             raise StateFormatError("missing side-length line", 1, 1)
         head = lines[0].strip()
@@ -92,12 +98,8 @@ class LightState:
         n = int(head)
         if n < 1:
             raise StateFormatError("side length must be >= 1", 1, 1)
-        if len(lines) < n + 1:
-            raise StateFormatError(
-                f"expected {n} row lines, found {len(lines) - 1}", len(lines) + 1, 1
-            )
         rows = lines[1 : n + 1]
-        for r, row in enumerate(rows):
+        for r, row in enumerate(rows):  # errors in reading order
             lineno = 2 + r
             if len(row) != n:
                 raise StateFormatError(
@@ -106,6 +108,8 @@ class LightState:
             if row.count("0") + row.count("1") != n:
                 c = next(c for c, ch in enumerate(row) if ch not in "01")
                 raise StateFormatError(f"cell must be 0 or 1, got {row[c]!r}", lineno, c + 1)
+        if len(rows) < n:
+            raise StateFormatError(f"expected {n} row lines, found {len(rows)}", len(lines) + 1, 1)
         for extra in range(n + 1, len(lines)):
             if lines[extra].strip():
                 raise StateFormatError("unexpected content after the board", extra + 1, 1)

@@ -359,6 +359,14 @@ def test_solve_non_ascii_state(tmp_path, capsys):
     assert "line 2, column 1" in err
 
 
+def test_solve_form_feed_is_not_a_line_end(tmp_path, capsys):
+    board = tmp_path / "board.txt"
+    board.write_bytes(b"2\n01\x0c10\n")
+    code, out, err = run(capsys, "solve", "2", "--state", str(board))
+    assert (code, out) == (2, "")
+    assert "line 2, column 3" in err
+
+
 def test_solve_side_mismatch(tmp_path, capsys):
     board = tmp_path / "board.txt"
     board.write_text(LightState.all_on(3).to_text())

@@ -228,6 +228,11 @@ def test_state_round_trip():
     assert LightState.from_text("2\n11\n11\n") == LightState.all_on(2)
     # trailing blank lines are tolerated, content is not
     assert LightState.from_text("1\n1\n\n") == LightState(1, 1)
+    # CRLF and lone-CR line ends, with and without a final one
+    for end in ("\r\n", "\r"):
+        assert LightState.from_text(text.replace("\n", end)) == state
+        assert LightState.from_text(text.replace("\n", end)[: -len(end)]) == state
+    assert LightState.from_text("2\r\n11\r11\n\r\n") == LightState.all_on(2)
 
 
 def test_state_text_matches_cell_by_cell():
@@ -282,6 +287,10 @@ def test_state_range_check_builds_no_board_sized_int():
         ("1\n1\nextra\n", 3, 1),  # trailing content
         ("\u0663\n000\n000\n000\n", 1, 1),  # non-ASCII digit side length
         ("\u00b2\n1\n", 1, 1),  # superscript digit side length
+        # only \n, \r\n and \r end a line, not the other str.splitlines breaks
+        ("2\n01\x0c10\n", 2, 3),
+        ("1\n1\x85\n", 2, 2),
+        ("2\n0\x1c1\n11\n", 2, 3),
     ],
 )
 def test_state_parse_errors(text, line, column):

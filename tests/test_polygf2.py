@@ -274,6 +274,21 @@ def test_gcd_bits_edge_cases():
         (g, f): 1,  # deg a < deg b
         (_mul_bits(g, 0b11), fg): g,
         (0b10, 0b110): 0b10,
+        # a remainder loop ends on the divisor's degree, so the x^0 quotient
+        # term is XORed in place: a mod b first, then b mod a (x^4 + x^3 + 1, x^2 + x + 1)
+        (0b11001, 0b111): 1,
+        (0b111, 0b11001): 1,
+        (_mul_bits(0b11001, g), _mul_bits(0b111, g)): g,
+        (_mul_bits(0b111, g), _mul_bits(0b11001, g)): g,
+        (f, f ^ 0b10): 1,  # equal degrees on entry
+        (fg, fg ^ g): g,
+        # degrees straddling CPython's 30-bit digits: gcd(x^i + 1, x^j + 1) = x^gcd(i, j) + 1
+        (1 << 31 | 1, 1 << 29 | 1): 0b11,
+        (1 << 30 | 1, 1 << 60 | 1): 1 << 30 | 1,
+        (1 << 61 | 1, 1 << 59 | 1): 0b11,
+        (1 << 60 | 1, 1 << 29 | 1): 0b11,
+        (_mul_bits(1 << 27 | 0b1011, g), _mul_bits(1 << 27 | 0b1010, g)): g,
+        (_mul_bits(1 << 57 | 0b1011, g), _mul_bits(1 << 57 | 0b1010, g)): g,
     }
     for (a, b), want in cases.items():
         assert _gcd_bits(a, b) == want == reference_gcd(a, b), (a, b)

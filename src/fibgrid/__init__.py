@@ -5,64 +5,26 @@ the kernel dimension of the n x n all-press toggle system to a single
 polynomial GCD, cross-checks that shortcut against light chasing on the
 grid itself (one n x n elimination, no polynomials), and sweeps the
 identities and open conjectures that the nullity sequence satisfies.
+
+Each module's __all__ owns its public names; the package re-exports them.
 """
 
-from .checks import DEFAULT_DEGREE_CAP, SWEEPS, Case, Report, to_text
-from .fibpoly import (
-    fib_binomial,
-    fib_hmp,
-    fib_sequence,
-)
-from .grid import GridSystem, LightState, StateFormatError
-from .nullity import (
-    NullityRecord,
-    d_of_n,
-    delta_closed_form,
-    delta_via_gcd,
-    format_csv,
-    table,
-)
-from .polygf2 import (
-    ONE,
-    X,
-    ZERO,
-    PolyGF2,
-    gcd,
-    ore_product_gcd,
-    subst_x_plus_1,
-)
-from .sierpinski import SierpinskiRaster, render, to_ascii, to_pbm
+from . import checks, fibpoly, grid, nullity, polygf2, sierpinski
+from .checks import *
+from .fibpoly import *
+from .grid import *
+from .nullity import *
+from .polygf2 import *
+from .sierpinski import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "PolyGF2",
-    "ZERO",
-    "ONE",
-    "X",
-    "gcd",
-    "subst_x_plus_1",
-    "ore_product_gcd",
-    "fib_binomial",
-    "fib_hmp",
-    "fib_sequence",
-    "NullityRecord",
-    "d_of_n",
-    "delta_closed_form",
-    "delta_via_gcd",
-    "table",
-    "format_csv",
-    "LightState",
-    "GridSystem",
-    "StateFormatError",
-    "Case",
-    "Report",
-    "DEFAULT_DEGREE_CAP",
-    "SWEEPS",
-    "to_text",
-    "SierpinskiRaster",
-    "render",
-    "to_pbm",
-    "to_ascii",
+    *polygf2.__all__,
+    *fibpoly.__all__,
+    *nullity.__all__,
+    *grid.__all__,
+    *checks.__all__,
+    *sierpinski.__all__,
     "__version__",
 ]

@@ -10,11 +10,12 @@ Which route each sweep reads: d_of_n, the factored fast route, is checked
 by `oracle` against the light-chasing nullity of `GridSystem`, which builds
 no polynomial, and is the value under test in `all2` and `powers`.
 `recurrence`, `delta` and `equivalence` check identities that d_of_n uses
-to factor f_{n+1}, so they read `_d_and_delta` and never d_of_n: it builds
-the unreduced f_{n+1} as A(y) + x B(y), y = x^2 + x, and takes d from
+to factor f_{n+1}, so they never read d_of_n.  `recurrence` and
+`equivalence` read `_d_and_delta`, and `delta` reads `delta_via_gcd`: both
+build the unreduced f_{n+1} as A(y) + x B(y), y = x^2 + x.  d comes from
 gcd(A, B), which rests on that basis and on no doubling identity of d, and
-delta from whether A and B have the same y-adic valuation, not from the
-mod-3 closed form.
+delta from whether A and B have the same y-adic valuation, with no Euclid
+and not from the mod-3 closed form.
 
 Two kinds of report share one type.  A conjecture check (scope None) keeps
 every case and renders as a per-case table.  A range sweep sets scope to a
@@ -30,8 +31,7 @@ from collections import namedtuple
 
 from .fibpoly import fib_hmp
 from .grid import GridSystem
-from .nullity import _d_and_delta, _d_from, _odd_gcd_degree, d_of_n
-from .nullity import delta_closed_form, delta_via_gcd
+from .nullity import _d_and_delta, d_of_n, delta_closed_form, delta_via_gcd
 from .polygf2 import PolyGF2, gcd, ore_product_gcd
 
 __all__ = [
@@ -139,7 +139,7 @@ def recurrence(*, nmax: int = 5000) -> list[Report]:
 
 
 def delta(*, nmax: int = 2000) -> list[Report]:
-    """delta_n from its GCD form against the mod-3 closed form, n = 1..nmax."""
+    """delta_n from its GCD form, by y-adic valuations, against the mod-3 closed form."""
     _require("nmax", nmax)
     triples = ((f"n={n}", delta_closed_form(n), delta_via_gcd(n)) for n in range(1, nmax + 1))
     return [_sweep("delta", f"two routes agree for n=1..{nmax}", triples)]
@@ -223,8 +223,9 @@ def powers(
     _require("amax", amax, 3)
     _require("kmax", kmax)
     _require("degree_cap", degree_cap, 3)
-    # d_of_n with one GCD per odd part: k = 1 repeats base, and 9, 25, 27, 49 repeat 3, 5, 7
-    d = functools.partial(_d_from, odd_gcd_degree=functools.cache(_odd_gcd_degree))
+    # n + 1 = a^k is odd, so one d_of_n per distinct n is one GCD per odd part:
+    # k = 1 repeats base, and 9, 25, 27, 49 repeat powers of 3, 5, 7
+    d = functools.cache(d_of_n)
     cases = []
     for a in range(3, min(amax, degree_cap) + 1, 2):  # a > degree_cap has no case
         if a % 21 == 0:

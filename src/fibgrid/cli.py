@@ -35,8 +35,9 @@ EXIT_USAGE = 2
 # of ROWS rows prints 2*ROWS^2 characters, 32 MiB at 4096.  A verify sweep's
 # flag has the limit of the command building the same objects: fib for
 # hmp-gcd, oracle for oracle, d for all2 and equivalence (2*3^12 - 1 =
-# 1,062,881) and powers, table for recurrence (up to d_{2 nmax + 3}), delta
-# and the powers bases d(a - 1).
+# 1,062,881) and powers, table for recurrence (up to d_{2 nmax + 3}) and the
+# powers bases d(a - 1).  delta runs one ladder per n and no GCD, about 3.5 s
+# at 30,000.  A verify flag that the named sweep does not take is refused.
 _LIMITS = {
     "fib": {"n": 1_000_000},
     "d": {"n": 2_000_000},
@@ -52,6 +53,14 @@ _LIMITS = {
     "verify powers": {"degree_cap": 2_000_000, "amax": 30_001},
     "verify equivalence": {"kmax": 12},
 }
+
+# the bounds each sweep takes, keyword-only with defaults; verify's flags are their union
+_TAKES = {name: list(sweep.__kwdefaults__) for name, sweep in SWEEPS.items()}
+_BOUNDS = sorted({bound for bounds in _TAKES.values() for bound in bounds})
+
+
+def _flag(bound: str) -> str:
+    return "--" + bound.replace("_", "-")
 
 
 def _decimal(minimum: int):
@@ -112,15 +121,23 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.all_ones:
         state = LightState.all_on(args.n)
     else:
+        # characters in the side-n board file with CRLF line ends, the longest
+        # canonical one; reading stops one past it, so no file exhausts memory
+        cap = len(str(args.n)) + 2 + args.n * (args.n + 2)
         try:
             # latin-1 maps every byte to one character, so a stray byte is
             # reported by from_text with its position instead of failing to decode
             with open(args.state, "r", encoding="latin-1") as fh:
-                text = fh.read()
+                text = fh.read(cap + 1)
         except OSError as exc:
             print(f"solve: cannot read {args.state}: {exc}", file=sys.stderr)
             return EXIT_FAIL
         try:
+            if len(text) > cap:
+                line = text.count("\n", 0, cap) + 1
+                column = cap - text.rfind("\n", 0, cap)
+                message = f"file exceeds {cap} characters, the most a side-{args.n} board needs"
+                raise StateFormatError(message, line, column)
             state = LightState.from_text(text)
         except StateFormatError as exc:
             print(f"solve: {args.state}: {exc}", file=sys.stderr)
@@ -157,10 +174,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     names = list(SWEEPS) if args.name == "all" else [args.name]
     all_ok = True
     for name in names:
-        sweep = SWEEPS[name]
-        accepted = sweep.__kwdefaults__ or {}  # every bound is keyword-only with a default
-        bounds = {k: v for k, v in vars(args).items() if k in accepted and v is not None}
-        for report in sweep(**bounds):
+        bounds = {k: getattr(args, k) for k in _TAKES[name] if getattr(args, k) is not None}
+        for report in SWEEPS[name](**bounds):
             all_ok &= report.first_failure is None
             sys.stdout.write(to_text(report))
     if len(names) > 1:
@@ -237,6 +252,12 @@ def main(argv: list[str] | None = None) -> int:
     keys = [args.command]
     if args.command == "verify":
         keys = [f"verify {name}" for name in (SWEEPS if args.name == "all" else [args.name])]
+        takes = _TAKES.get(args.name, _BOUNDS)  # all takes every bound
+        stray = [b for b in _BOUNDS if b not in takes and getattr(args, b) is not None]
+        if stray:
+            message = f"{_flag(stray[0])} does not apply; it takes {', '.join(map(_flag, takes))}"
+            print(f"verify {args.name}: {message}", file=sys.stderr)
+            return EXIT_USAGE
     for key in keys:
         for name, limit in _LIMITS.get(key, {}).items():
             value = getattr(args, name)

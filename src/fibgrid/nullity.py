@@ -14,10 +14,11 @@ doubling ladder on (A, B) pairs, and table streams them by the defining
 recurrence.  y is fixed by x -> x+1, so for p = A(y) + x B(y),
 deg gcd(p(x), p(x+1)) = 2 deg gcd(A, B), one Euclid at half the degree of
 p (_gcd_degree).  d_of_n takes it on a factor of f_{n+1} at half the degree
-of its odd part.  _d_and_delta takes it on the unreduced f_{n+1}, with
-delta from the y-adic valuations of A and B; it is the reference that the
-identity sweeps (recurrence, delta, equivalence) read, because d_of_n's
-factoring rests on those same identities and the basis does not.
+of its odd part.  _d_and_delta takes it on the unreduced f_{n+1}; it is the
+reference that the identity sweeps (recurrence, equivalence) read, because
+d_of_n's factoring rests on those same identities and the basis does not.
+delta_n needs no Euclid: it is read off the y-adic valuations of A and B
+(_valuation_delta), by delta_via_gcd and _d_and_delta alike.
 """
 
 from __future__ import annotations
@@ -109,31 +110,36 @@ def delta_closed_form(n: int) -> int:
     return 2 if (n + 1) % 3 == 0 else 0
 
 
-def _d_and_delta(n: int) -> tuple[int, int]:
-    """(d_n, delta_n) from the unreduced f = f_{n+1}, by no doubling identity of d.
+def _valuation_delta(a: int, b: int) -> int:
+    """delta_n = 2 deg gcd(x, f(x+1)/g) for f = f_{n+1} = A(y) + x B(y), given A and B.
 
-    With f = A(y) + x B(y), y = x^2 + x, d_n is _gcd_degree(A, B), which
-    rests only on the basis {1, x} over GF(2)[y].
-    delta_n = 2 deg gcd(x, f(x+1)/g), g = gcd(f, f(x+1)) = G(y) for
-    G = gcd(A, B).  f(x+1)/g = (A/G + B/G)(y) + x (B/G)(y) is
-    (A/G)(0) + (B/G)(0) at x = 0, and y divides at most one of the coprime
-    A/G and B/G.  So x divides f(x+1)/g exactly when y divides neither,
-    that is when A and B have the same y-adic valuation.
+    Here g = gcd(f, f(x+1)) = G(y) for G = gcd(A, B), and
+    f(x+1)/g = (A/G + B/G)(y) + x (B/G)(y) is (A/G)(0) + (B/G)(0) at x = 0.
+    y divides at most one of the coprime A/G and B/G, so x divides f(x+1)/g
+    exactly when y divides neither, that is when A and B have the same
+    y-adic valuation.  G itself is never needed.
+    """
+    # z & -z is y^(y-adic valuation of z)
+    return 2 if a & -a == b & -b else 0
+
+
+def _d_and_delta(n: int) -> tuple[int, int]:
+    """(d_n, delta_n) from the unreduced f_{n+1} = A(y) + x B(y), by no doubling identity of d.
+
+    d_n is _gcd_degree(A, B), resting only on the basis {1, x} over GF(2)[y].
     """
     a, b = _y_pair(n + 1)[:2]
-    # z & -z is y^(y-adic valuation of z)
-    return _gcd_degree(a, b), 2 if a & -a == b & -b else 0
+    return _gcd_degree(a, b), _valuation_delta(a, b)
 
 
 def delta_via_gcd(n: int) -> int:
     """delta_n from its division form, 2 * deg gcd(x, f_{n+1}(x+1) / g).
 
-    Here g = gcd(f_{n+1}(x), f_{n+1}(x+1)).  With f_{n+1} = A(y) + x B(y),
-    y = x^2 + x, x divides the quotient exactly when A and B have the same
-    y-adic valuation, so nothing is divided (_d_and_delta).
+    Here g = gcd(f_{n+1}(x), f_{n+1}(x+1)).  _valuation_delta reads it off
+    the y-parts of f_{n+1}, so neither g nor the quotient is computed.
     """
     _require_side(n)
-    return _d_and_delta(n)[1]
+    return _valuation_delta(*_y_pair(n + 1)[:2])
 
 
 class NullityRecord(namedtuple("NullityRecord", "n d delta")):

@@ -6,7 +6,7 @@ import inspect
 
 import pytest
 
-from fibgrid import SWEEPS, checks
+from fibgrid import SWEEPS, checks, delta_via_gcd, nullity
 from fibgrid.cli import build_parser
 
 # each sweep's bounds, by keyword, with the defaults documented in the README
@@ -69,14 +69,27 @@ def test_range_sweep_stops_at_first_failure(monkeypatch):
 
 def test_powers_skips_bases_above_the_degree_cap(monkeypatch):
     # a base a > degree_cap has no case for any k, so its d(a - 1) is never computed
-    parts = []
-    real = checks._odd_gcd_degree
+    calls = []
+    real = checks.d_of_n
 
-    def counted(b):
-        parts.append(b)
-        return real(b)
+    def counted(n):
+        calls.append(n)
+        return real(n)
 
-    monkeypatch.setattr(checks, "_odd_gcd_degree", counted)
+    monkeypatch.setattr(checks, "d_of_n", counted)
     wide = checks.powers(amax=401, degree_cap=9)
-    assert parts and max(parts) <= 9
+    # one call per distinct n, each n + 1 = a^k odd, so one GCD per odd part
+    assert calls and len(calls) == len(set(calls))
+    assert max(calls) + 1 <= 9
     assert wide == checks.powers(amax=9, degree_cap=9)
+
+
+def test_delta_runs_no_euclid(monkeypatch):
+    # delta_via_gcd reads delta off y-adic valuations, never off a GCD
+    def refuse(a, b):
+        raise AssertionError("delta ran a Euclid")
+
+    monkeypatch.setattr(nullity, "_gcd_bits", refuse)
+    (report,) = checks.delta(nmax=200)
+    assert report.overall == "pass"
+    assert [delta_via_gcd(n) for n in (3247, 3248, 3249)] == [0, 2, 0]

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import fibgrid
 from fibgrid import GridSystem, LightState, PolyGF2, checks, cli, fib_hmp, gcd, render, to_pbm
 from fibgrid.cli import main
 
@@ -214,6 +215,26 @@ def test_verify_unknown_name():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "name,flag,message",
+    [
+        ("recurrence", "--kmax", "--kmax does not apply; it takes --nmax"),
+        ("delta", "--kmax", "--kmax does not apply; it takes --nmax"),
+        ("hmp-gcd", "--amax", "--amax does not apply; it takes --nmax, --trials, --seed"),
+        ("ore", "--nmax", "--nmax does not apply; it takes --trials, --seed"),
+        ("oracle", "--trials", "--trials does not apply; it takes --nmax"),
+        ("all2", "--seed", "--seed does not apply; it takes --kmax"),
+        ("powers", "--nmax", "--nmax does not apply; it takes --amax, --kmax, --degree-cap"),
+        ("equivalence", "--degree-cap", "--degree-cap does not apply; it takes --kmax"),
+    ],
+)
+def test_verify_refuses_a_flag_the_sweep_does_not_take(capsys, monkeypatch, name, flag, message):
+    # refused before any work starts, like a size above the limits
+    monkeypatch.setitem(cli.SWEEPS, name, None)
+    argv = ("verify", name, flag, "3")
+    assert run(capsys, *argv) == (2, "", f"verify {name}: {message}\n")
+
+
 # Failure paths: one route is made wrong at a known index, and the sweep must
 # exit 1 naming that index, so that none of them can pass vacuously.
 
@@ -379,6 +400,39 @@ def test_solve_missing_file(capsys):
     code, out, err = run(capsys, "solve", "3", "--state", "/no/such/board.txt")
     assert code == 1
     assert "cannot read" in err
+
+
+def _crlf_board(n):
+    """The longest canonical board file of side n: to_text with CRLF line ends."""
+    return LightState.all_on(n).to_text().replace("\n", "\r\n").encode()
+
+
+@pytest.mark.parametrize("n", [1, 3, 12])
+def test_solve_reads_at_most_the_longest_board_of_its_side(tmp_path, capsys, n):
+    board = tmp_path / "board.txt"
+    board.write_bytes(_crlf_board(n))
+    assert run(capsys, "solve", str(n), "--state", str(board))[0] == 0  # d_n = 0: solvable
+    # one character more is refused at that character, past the last row
+    cap = len(_crlf_board(n))
+    lf = LightState.all_on(n).to_text().encode()
+    board.write_bytes(lf + b" " * (cap + 1 - len(lf)))
+    assert run(capsys, "solve", str(n), "--state", str(board)) == (
+        2,
+        "",
+        f"solve: {board}: line {n + 2}, column {cap + 1 - len(lf)}: "
+        f"file exceeds {cap} characters, the most a side-{n} board needs\n",
+    )
+
+
+def test_solve_refuses_a_long_tail_of_blank_lines(tmp_path, capsys):
+    board = tmp_path / "board.txt"
+    board.write_bytes(b"1\n1\n" + b"\n" * 3_000_000)
+    code, out, err = run(capsys, "solve", "1", "--state", str(board))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"solve: {board}: line 5, column 1: "
+        "file exceeds 6 characters, the most a side-1 board needs\n"
+    )
 
 
 def test_solve_requires_exactly_one_source():
@@ -572,3 +626,10 @@ def test_import_loads_no_random():
     loaded, _ = _modules_after_cli_import()
     assert "fibgrid.cli" in loaded
     assert "random" not in loaded
+
+
+def test_package_exports_resolve_once():
+    # the package re-exports each module's __all__, so a name is listed once
+    assert len(fibgrid.__all__) == len(set(fibgrid.__all__))
+    assert [name for name in fibgrid.__all__ if not hasattr(fibgrid, name)] == []
+    assert fibgrid.MAX_PARSE_DEGREE == 1 << 24

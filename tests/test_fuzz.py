@@ -66,8 +66,9 @@ OPTIONS = {
     "sierpinski": [["--ascii"], ["--pbm", "out.pbm"]],
     "oracle": [],
 }
-# Every verify run ends with these, so no sweep runs at its default size.
-SMALL_BOUNDS = ["--nmax", "6", "--trials", "3", "--kmax", "2", "--amax", "5", "--degree-cap", "30"]
+# Every verify run ends with the ones its sweeps take, so none runs at its
+# default size; a flag that the sweep does not take is refused.
+SMALL_BOUNDS = {"nmax": "6", "trials": "3", "kmax": "2", "amax": "5", "degree_cap": "30"}
 
 # Junk leaves out NUL, which no real argv can carry, and path separators,
 # so written files stay in the scratch directory.  All-digit junk would be
@@ -90,7 +91,8 @@ def _session(draw):
     command = draw(st.sampled_from(sorted(OPTIONS)))
     n = draw(st.integers(0, 24))
     if command == "verify":
-        argv = [command, draw(st.sampled_from([*SWEEPS, "all"]))]
+        name = draw(st.sampled_from([*SWEEPS, "all"]))
+        argv = [command, name]
     else:
         argv = [command, str(n)]
     if OPTIONS[command]:
@@ -99,7 +101,10 @@ def _session(draw):
     for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
         argv.insert(draw(st.integers(0, len(argv))), draw(_token))
     if command == "verify":
-        argv += SMALL_BOUNDS
+        takes = SWEEPS[name].__kwdefaults__ if name in SWEEPS else SMALL_BOUNDS
+        for bound, value in SMALL_BOUNDS.items():
+            if bound in takes:
+                argv += ["--" + bound.replace("_", "-"), value]
     side = max(n, 1)
     board = draw(
         st.one_of(

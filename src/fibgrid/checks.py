@@ -110,27 +110,18 @@ def recurrence(*, nmax: int = 5000) -> list[Report]:
     cache: dict[int, tuple[int, int]] = {}
 
     def vals(n: int) -> tuple[int, int]:
-        got = cache.get(n)
-        if got is None:
-            got = cache[n] = _d_and_delta(n)
-        return got
+        if n not in cache:
+            cache[n] = _d_and_delta(n)
+        return cache[n]
 
-    def double_d(n: int) -> tuple[str, int, int]:
-        d1, e1 = vals(n)
-        return f"n={n}", 2 * d1 + e1, vals(2 * n + 1)[0]
-
-    def double_delta(n: int) -> tuple[str, int, int]:
-        return f"n={n}", vals(n)[1], vals(2 * n + 1)[1]
-
-    def quad_d(n: int) -> tuple[str, int, int]:
-        d1, e1 = vals(n)
-        return f"n={n}", 4 * d1 + 3 * e1, vals(4 * n + 3)[0]
-
-    quad_max = nmax // 2
+    ns, quad_ns = range(1, nmax + 1), range(1, nmax // 2 + 1)
+    double_d = ((f"n={n}", 2 * vals(n)[0] + vals(n)[1], vals(2 * n + 1)[0]) for n in ns)
+    double_delta = ((f"n={n}", vals(n)[1], vals(2 * n + 1)[1]) for n in ns)
+    quad_d = ((f"n={n}", 4 * vals(n)[0] + 3 * vals(n)[1], vals(4 * n + 3)[0]) for n in quad_ns)
     reports = [
-        _sweep("recurrence double-d", f"{nmax} checked", map(double_d, range(1, nmax + 1))),
-        _sweep("recurrence double-delta", f"{nmax} checked", map(double_delta, range(1, nmax + 1))),
-        _sweep("recurrence quad-d", f"{quad_max} checked", map(quad_d, range(1, quad_max + 1))),
+        _sweep("recurrence double-d", f"{nmax} checked", double_d),
+        _sweep("recurrence double-delta", f"{nmax} checked", double_delta),
+        _sweep("recurrence quad-d", f"{len(quad_ns)} checked", quad_d),
     ]
     # a delta outside {0, 2} is reported against 0
     in_range = ((f"n={n}", e if e in (0, 2) else 0, e) for n, (_, e) in sorted(cache.items()))

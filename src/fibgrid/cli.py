@@ -15,7 +15,7 @@ import sys
 
 from .checks import SWEEPS, to_text
 from .fibpoly import fib_binomial, fib_hmp, fib_sequence
-from .grid import GridSystem, LightState, StateFormatError
+from .grid import GridSystem, LightState, StateFormatError, _side_length
 from .nullity import d_of_n, delta_closed_form, format_csv, table
 from .sierpinski import render, to_ascii, to_pbm
 
@@ -37,7 +37,8 @@ EXIT_USAGE = 2
 # hmp-gcd, oracle for oracle, d for all2 and equivalence (2*3^12 - 1 =
 # 1,062,881) and powers, table for recurrence (up to d_{2 nmax + 3}) and the
 # powers bases d(a - 1).  delta runs one ladder per n and no GCD, about 3.5 s
-# at 30,000.  A verify flag that the named sweep does not take is refused.
+# at 30,000.  A verify limit bounds each object a sweep builds, not the sweep.
+# A verify flag that the named sweep does not take is refused.
 _LIMITS = {
     "fib": {"n": 1_000_000},
     "d": {"n": 2_000_000},
@@ -47,7 +48,8 @@ _LIMITS = {
     "sierpinski": {"rows": 4096},
     "verify recurrence": {"nmax": 14_999},
     "verify delta": {"nmax": 30_000},
-    "verify hmp-gcd": {"nmax": 1_000_000},
+    "verify hmp-gcd": {"nmax": 1_000_000, "trials": 100_000},  # 11 s at nmax 2000
+    "verify ore": {"trials": 100_000},  # one Case kept per trial: 24 s and 52 MiB
     "verify oracle": {"nmax": 2000},
     "verify all2": {"kmax": 12},
     "verify powers": {"degree_cap": 2_000_000, "amax": 30_001},
@@ -134,17 +136,23 @@ def cmd_solve(args: argparse.Namespace) -> int:
             return EXIT_FAIL
         try:
             if len(text) > cap:
-                line = text.count("\n", 0, cap) + 1
-                column = cap - text.rfind("\n", 0, cap)
-                message = f"file exceeds {cap} characters, the most a side-{args.n} board needs"
-                raise StateFormatError(message, line, column)
-            state = LightState.from_text(text)
+                try:  # a side-length line that ends within the text may name another side
+                    side = _side_length(text) if "\n" in text or "\r" in text else args.n
+                except StateFormatError:
+                    side = args.n
+                if side == args.n:
+                    line = text.count("\n", 0, cap) + 1
+                    column = cap - text.rfind("\n", 0, cap)
+                    message = f"file exceeds {cap} characters, the most a side-{args.n} board needs"
+                    raise StateFormatError(message, line, column)
+            else:
+                side = (state := LightState.from_text(text)).n
         except StateFormatError as exc:
             print(f"solve: {args.state}: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        if state.n != args.n:
+        if side != args.n:
             print(
-                f"solve: {args.state} is a side-{state.n} board, expected side {args.n}",
+                f"solve: {args.state} is a side-{side} board, expected side {args.n}",
                 file=sys.stderr,
             )
             return EXIT_USAGE

@@ -32,6 +32,18 @@ class StateFormatError(ValueError):
         self.column = column
 
 
+def _side_length(text: str) -> int:
+    """The side length on a board text's first line, which ends at the first LF or CR."""
+    head = text.split("\n", 1)[0].split("\r", 1)[0].strip()
+    if not head:
+        raise StateFormatError("missing side-length line", 1, 1)
+    if not (head.isascii() and head.isdigit()):
+        raise StateFormatError("side length must be a decimal integer", 1, 1)
+    if int(head) < 1:
+        raise StateFormatError("side length must be >= 1", 1, 1)
+    return int(head)
+
+
 class LightState:
     """On/off assignment for an n x n board; bit r*n + c is cell (r, c).
 
@@ -90,14 +102,7 @@ class LightState:
         lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
         if not lines[-1]:
             lines.pop()  # the final line end closes the last line
-        if not lines or not lines[0].strip():
-            raise StateFormatError("missing side-length line", 1, 1)
-        head = lines[0].strip()
-        if not (head.isascii() and head.isdigit()):
-            raise StateFormatError("side length must be a decimal integer", 1, 1)
-        n = int(head)
-        if n < 1:
-            raise StateFormatError("side length must be >= 1", 1, 1)
+        n = _side_length(text)
         rows = lines[1 : n + 1]
         for r, row in enumerate(rows):  # errors in reading order
             lineno = 2 + r

@@ -28,8 +28,6 @@ __all__ = [
 
 def _mul_bits(a: int, b: int) -> int:
     """Carry-less product: XOR shifted copies, iterating over the sparser operand."""
-    if a == 0 or b == 0:
-        return 0
     if a.bit_count() < b.bit_count():
         a, b = b, a
     out = 0
@@ -82,29 +80,10 @@ def _gcd_bits(a: int, b: int) -> int:
     return a
 
 
-def _lanes(pattern: bytes) -> int:
-    """pattern repeated once per byte value: one mask for a whole table at once.
-
-    A table's 256 entries are built together, entry b in lane b of one int.
-    Shifts stay inside a lane, because every mask clears the bits that a
-    shift carries over from the next lane.
-    """
-    return int.from_bytes(pattern * 256, "little")
-
-
-def _spread_tables() -> tuple[bytes, bytes]:
-    """Byte -> its low and high nibble with a zero bit after each coefficient."""
-    wide = bytearray(512)  # 16-bit lanes
-    wide[0::2] = bytes(range(256))
-    v = int.from_bytes(wide, "little")
-    v = (v | v << 4) & _lanes(b"\x0f\x0f")  # nibbles 4 bits apart,
-    v = (v | v << 2) & _lanes(b"\x33\x33")  # then bit pairs, then single bits
-    v = (v | v << 1) & _lanes(b"\x55\x55")
-    out = v.to_bytes(512, "little")
-    return out[0::2], out[1::2]
-
-
-_SPREAD_LOW, _SPREAD_HIGH = _spread_tables()
+# byte -> its low or high nibble with bit i moved to bit 2i (binary digits read in base 4)
+_NIBBLE_SPREAD = [int(format(v, "04b"), 4) for v in range(16)]
+_SPREAD_LOW = bytes(_NIBBLE_SPREAD[v & 15] for v in range(256))
+_SPREAD_HIGH = bytes(_NIBBLE_SPREAD[v >> 4] for v in range(256))
 
 
 def _square_bits(z: int) -> int:
@@ -308,20 +287,16 @@ class PolyGF2:
         return PolyGF2(self.bits << k)
 
     def __pow__(self, exponent: int) -> "PolyGF2":
-        """Repeated squaring; 0**0 is taken as 1 (empty product)."""
+        """Square-and-multiply from the high bit; 0**0 is taken as 1 (empty product)."""
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
             raise ValueError("negative power of a polynomial")
         out = 1
-        base = self.bits
-        e = exponent
-        while e:
-            if e & 1:
-                out = _mul_bits(out, base)
-            e >>= 1
-            if e:
-                base = _square_bits(base)
+        for bit in bin(exponent)[2:]:
+            out = _square_bits(out)
+            if bit == "1":
+                out = _mul_bits(out, self.bits)
         return PolyGF2(out)
 
     def __bool__(self) -> bool:

@@ -394,6 +394,30 @@ def test_solve_side_mismatch(tmp_path, capsys):
     code, out, err = run(capsys, "solve", "4", "--state", str(board))
     assert code == 2
     assert "side-3" in err
+    # a larger board is longer than any side-2 board, and is still named by its side
+    board.write_text(LightState.all_on(5).to_text())
+    assert run(capsys, "solve", "2", "--state", str(board)) == (
+        2,
+        "",
+        f"solve: {board} is a side-5 board, expected side 2\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        "0" * 20 + "12\n",  # side 12, but its line does not end within the 12 characters read
+        "\n" + "1" * 20,  # no valid side length
+        "x\n" + "1" * 20,
+        "0\n" + "1" * 20,
+    ],
+)
+def test_solve_past_the_cap_names_only_a_whole_valid_side(tmp_path, capsys, content):
+    board = tmp_path / "board.txt"
+    board.write_text(content)
+    code, out, err = run(capsys, "solve", "2", "--state", str(board))
+    assert (code, out) == (2, "")
+    assert err.endswith("file exceeds 11 characters, the most a side-2 board needs\n")
 
 
 def test_solve_missing_file(capsys):
@@ -529,6 +553,15 @@ def test_oracle_line(capsys):
             ("verify", "powers", "--amax", "2000001", "--degree-cap", "2000000"),
             "verify powers: amax must be <= 30001, got 2000001\n",
         ),
+        (("verify", "ore", "--trials", "100001"), "verify ore: trials must be <= 100000, got 100001\n"),
+        (
+            ("verify", "hmp-gcd", "--trials", "100001"),
+            "verify hmp-gcd: trials must be <= 100000, got 100001\n",
+        ),
+        (
+            ("verify", "all", "--trials", "100001"),
+            "verify hmp-gcd: trials must be <= 100000, got 100001\n",
+        ),
     ],
 )
 def test_sizes_above_the_limit_are_refused(capsys, monkeypatch, argv, message):
@@ -558,6 +591,9 @@ def test_sizes_above_the_limit_are_refused(capsys, monkeypatch, argv, message):
         ("verify", "delta", "--nmax", "30000"),
         ("verify", "powers", "--amax", "30001", "--degree-cap", "2000000"),
         ("verify", "all", "--amax", "30001"),
+        ("verify", "ore", "--trials", "100000"),
+        ("verify", "hmp-gcd", "--trials", "100000"),
+        ("verify", "all", "--trials", "100000"),
     ],
 )
 def test_verify_bounds_at_the_limit_are_accepted(capsys, monkeypatch, argv):

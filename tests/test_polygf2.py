@@ -21,6 +21,7 @@ from fibgrid.polygf2 import (
     MAX_PARSE_DEGREE,
     _gcd_bits,
     _mul_bits,
+    _square_bits,
     _subst_bits,
 )
 from ybasis import ascend, join
@@ -125,6 +126,12 @@ def test_pow_and_shift():
     assert X**0 == ONE
     assert ZERO**0 == ONE
     assert ZERO**3 == ZERO
+    dense = PolyGF2(0b10110111011100101101001011101101001011101)  # degree 40
+    for p in (ZERO, ONE, X, P("x + 1"), dense):
+        product = ONE
+        for e in range(71):
+            assert p**e == product, (p, e)
+            product = product * p
     assert (P("x + 1") << 3) == P("x^4 + x^3")
     with pytest.raises(ValueError):
         X ** (-1)
@@ -327,6 +334,11 @@ def test_translate_tables_match_per_bit_loops():
                 v |= 1 << (2 * i)
         spread_low[byte], spread_high[byte] = v & 0xFF, v >> 8
     assert (_SPREAD_LOW, _SPREAD_HIGH) == (spread_low, spread_high)
+
+
+def test_square_bits_matches_the_product_on_two_bytes():
+    # every entry of both tables, in the low and in the high input byte
+    assert [v for v in range(1 << 16) if _square_bits(v) != _mul_bits(v, v)] == []
 
 
 @given(polys, polys)

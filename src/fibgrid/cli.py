@@ -48,8 +48,8 @@ _LIMITS = {
     "sierpinski": {"rows": 4096},
     "verify recurrence": {"nmax": 14_999},
     "verify delta": {"nmax": 30_000},
-    "verify hmp-gcd": {"nmax": 1_000_000, "trials": 100_000},  # 11 s at nmax 2000
-    "verify ore": {"trials": 100_000},  # one Case kept per trial: 24 s and 52 MiB
+    "verify hmp-gcd": {"nmax": 1_000_000, "trials": 100_000},  # 11 s at the limit, nmax 2000
+    "verify ore": {"trials": 100_000},  # one Case kept per trial: 24 s, 52 MiB at the limit
     "verify oracle": {"nmax": 2000},
     "verify all2": {"kmax": 12},
     "verify powers": {"degree_cap": 2_000_000, "amax": 30_001},

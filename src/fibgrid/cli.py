@@ -24,14 +24,14 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 # command -> {argument: largest accepted value}.  At grid side 2000 oracle
-# takes about 0.8 s and 26 MiB, solve 0.9 s and 34 MiB (1.6 s at side 1983,
-# nullity 1280).  The 0.93 GiB of 2000 vectors of 2000^2 bits is the
+# takes 1.5-1.7 s and 26 MiB, solve 1.7 s and 33 MiB (3.0-3.3 s at side
+# 1983, nullity 1280).  The 0.93 GiB of 2000 vectors of 2000^2 bits is the
 # library's kernel_basis(), which no command calls.
 # d's GCD runs in GF(2)[x^2 + x] at half the degree of
-# f_{n+1}'s odd part and is still quadratic, 5.6-6.3 s at 2,000,000 on a
+# f_{n+1}'s odd part and is still quadratic, 5.2-5.7 s at 2,000,000 on a
 # shared 2-core machine.  fib builds f_n by the linear ladder, but
 # --all-methods also runs the quadratic recurrence, about 25 s at 1,000,000.
-# table runs one GCD per odd part of n + 1, about 19 s at 30,000.  A raster
+# table runs one GCD per odd part of n + 1, 15-17 s at 30,000.  A raster
 # of ROWS rows prints 2*ROWS^2 characters, 32 MiB at 4096.  A verify sweep's
 # flag has the limit of the command building the same objects: fib for
 # hmp-gcd, oracle for oracle, d for all2 and equivalence (2*3^12 - 1 =
@@ -69,6 +69,9 @@ def _decimal(minimum: int):
     """argparse type for a plain decimal integer with a lower bound."""
 
     def convert(text: str) -> int:
+        # CPython's int() refuses more digits than this, and argparse would echo them all
+        if len(text) > 4300:
+            raise argparse.ArgumentTypeError(f"has {len(text)} characters, at most 4300 accepted")
         if not (text.isascii() and text.isdigit()):
             raise argparse.ArgumentTypeError(f"{text!r} is not a decimal integer")
         value = int(text)

@@ -20,6 +20,8 @@ route to d_n is independent of the GCD route.
 
 from __future__ import annotations
 
+from .polygf2 import _Frozen  # the value contract only; no polynomial arithmetic here
+
 __all__ = ["LightState", "GridSystem", "StateFormatError"]
 
 
@@ -44,12 +46,11 @@ def _side_length(text: str) -> int:
     return int(head)
 
 
-class LightState:
+class LightState(_Frozen):
     """On/off assignment for an n x n board; bit r*n + c is cell (r, c).
 
     Doubles as a press pattern, which is the same kind of object.  Values
-    hash and compare by (n, bits).  Both slots are written once, in
-    __init__; assigning or deleting any attribute raises AttributeError.
+    hash and compare by (n, bits).
     """
 
     __slots__ = ("n", "bits")
@@ -63,23 +64,6 @@ class LightState:
             raise ValueError("state bits out of range for the board size")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "bits", bits)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self) -> tuple:
-        return type(self), (self.n, self.bits)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.bits) == (other.n, other.bits)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.bits))
 
     def __repr__(self) -> str:
         return f"LightState(n={self.n!r}, bits={self.bits!r})"

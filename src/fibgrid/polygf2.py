@@ -92,8 +92,6 @@ def _square_bits(z: int) -> int:
     Input byte i spreads to output bytes 2i and 2i+1, so two translate calls
     fill the even and odd byte slices.
     """
-    if z == 0:
-        return 0
     data = z.to_bytes((z.bit_length() + 7) // 8, "little")
     out = bytearray(2 * len(data))
     out[0::2] = data.translate(_SPREAD_LOW)
@@ -108,8 +106,6 @@ def _subst_bits(z: int) -> int:
     over bitwise supersets of j; one fold per stride computes exactly that,
     and the whole transform is an involution.
     """
-    if z == 0:
-        return 0
     nbits = z.bit_length()
     stride = 1
     while stride < nbits:
@@ -132,14 +128,40 @@ def _subst_bits(z: int) -> int:
 MAX_PARSE_DEGREE = 1 << 24
 
 
-class PolyGF2:
+class _Frozen:
+    """Base of the value types: slots named by __match_args__, written once in __init__.
+
+    Assigning or deleting any attribute raises AttributeError.  Pickle and
+    copy rebuild through the constructor, so its validation runs.  Values
+    hash and compare by their field tuple and never equal another class.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__()[1])
+
+
+class PolyGF2(_Frozen):
     """An immutable polynomial over the two-element field.
 
     ``bits`` packs the coefficients, bit i being the coefficient of x^i.
     The zero polynomial has degree -1.  Values hash and compare by their
-    packed bits, so structural equality is semantic equality.  The one slot
-    is written once, in __init__; assigning or deleting any attribute
-    raises AttributeError.
+    packed bits, so structural equality is semantic equality.
     """
 
     __slots__ = ("bits",)
@@ -149,23 +171,6 @@ class PolyGF2:
         if bits < 0:
             raise ValueError("coefficient bits must be nonnegative")
         object.__setattr__(self, "bits", bits)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self) -> tuple:
-        return type(self), (self.bits,)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.bits == other.bits
-
-    def __hash__(self) -> int:
-        return hash((self.bits,))
 
     # construction
 

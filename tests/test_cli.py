@@ -579,6 +579,27 @@ def test_sizes_above_the_limit_are_refused(capsys, monkeypatch, argv, message):
 
 @pytest.mark.parametrize(
     "argv",
+    [("d",), ("table",), ("verify", "all2", "--kmax"), ("verify", "hmp-gcd", "--seed")],
+)
+def test_over_long_decimals_are_refused_without_echo(capsys, argv):
+    # int() refuses more than 4300 digits; argparse must not echo all 5000.
+    # After argparse's usage lines comes one error line.
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "9" * 5000])
+    assert err.value.code == 2
+    *usage, error = capsys.readouterr().err.splitlines()
+    assert error.endswith(": has 5000 characters, at most 4300 accepted")
+    assert usage[0].startswith("usage: ") and not any("error" in line for line in usage)
+    assert len(error) < 200 and all(len(line) < 200 for line in usage)
+
+
+def test_a_4300_digit_seed_still_runs(capsys):
+    code, out, err = run(capsys, "verify", "hmp-gcd", "--trials", "1", "--seed", "7" * 4300)
+    assert (code, err) == (0, "") and out.startswith("hmp-gcd: ok (1 random pairs")
+
+
+@pytest.mark.parametrize(
+    "argv",
     [
         ("verify", "all"),
         ("verify", "all2", "--kmax", "12"),

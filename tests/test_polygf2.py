@@ -108,6 +108,7 @@ def test_subst_examples():
     assert subst_x_plus_1(X) == P("x + 1")
     assert subst_x_plus_1(P("x^2 + 1")) == P("x^2")
     assert subst_x_plus_1(ZERO) == ZERO
+    assert _subst_bits(0) == 0
     assert subst_x_plus_1(ONE) == ONE
 
 

@@ -63,11 +63,11 @@ def test_equality_and_hash_follow_the_fields():
 )
 def test_value_types_refuse_assignment_and_deletion(value, field):
     before = getattr(value, field)
-    with pytest.raises(AttributeError):
+    with pytest.raises(AttributeError, match="cannot assign to field"):
         setattr(value, field, 1)
-    with pytest.raises(AttributeError):
+    with pytest.raises(AttributeError, match="cannot delete field"):
         delattr(value, field)
-    with pytest.raises(AttributeError):
+    with pytest.raises(AttributeError, match="cannot assign to field"):
         value.other = 1
     assert getattr(value, field) == before
 

@@ -9,13 +9,12 @@ identities and open conjectures that the nullity sequence satisfies.
 Each module's __all__ owns its public names; the package re-exports them.
 """
 
-from . import checks, fibpoly, grid, nullity, polygf2, sierpinski
+from . import checks, fibpoly, grid, nullity, polygf2
 from .checks import *
 from .fibpoly import *
 from .grid import *
 from .nullity import *
 from .polygf2 import *
-from .sierpinski import *
 
 __version__ = "0.1.0"
 
@@ -25,6 +24,5 @@ __all__ = [
     *nullity.__all__,
     *grid.__all__,
     *checks.__all__,
-    *sierpinski.__all__,
     "__version__",
 ]

@@ -281,12 +281,12 @@ def to_text(report: Report) -> str:
             f"{report.name}: FAIL at {bad.params}, "
             f"expected {_value(bad.expected)}, got {_value(bad.computed)}\n"
         )
-    width = max(len(c.params) for c in report.cases)
+    width = max((len(c.params) for c in report.cases), default=0)
     lines = [f"== {report.name} =="]
     for case in report.cases:
         lines.append(
-            f"  {case.params:<{width}}  expected={case.expected:<4} "
-            f"computed={case.computed:<4} {case.verdict}"
+            f"  {case.params:<{width}}  expected={_value(case.expected):<4} "
+            f"computed={_value(case.computed):<4} {case.verdict}"
         )
     if report.overall == "pass":
         lines.append(f"result: pass, verified for the tested range ({len(report.cases)} cases)")

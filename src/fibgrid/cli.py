@@ -14,10 +14,9 @@ import collections
 import sys
 
 from .checks import SWEEPS, to_text
-from .fibpoly import fib_binomial, fib_hmp, fib_sequence
+from .fibpoly import fib_binomial, fib_hmp, fib_sequence, render, to_ascii, to_pbm
 from .grid import GridSystem, LightState, StateFormatError, _side_length
 from .nullity import d_of_n, delta_closed_form, format_csv, table
-from .sierpinski import render, to_ascii, to_pbm
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -131,7 +130,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         cap = len(str(args.n)) + 2 + args.n * (args.n + 2)
         try:
             # latin-1 maps every byte to one character, so a stray byte is
-            # reported by from_text with its position instead of failing to decode
+            # reported by from_text with its position instead of failing to decode;
+            # text mode turns CR and CRLF line ends into LF, so text holds no CR
             with open(args.state, "r", encoding="latin-1") as fh:
                 text = fh.read(cap + 1)
         except OSError as exc:
@@ -140,7 +140,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         try:
             if len(text) > cap:
                 try:  # a side-length line that ends within the text may name another side
-                    side = _side_length(text) if "\n" in text or "\r" in text else args.n
+                    side = _side_length(text) if "\n" in text else args.n
                 except StateFormatError:
                     side = args.n
                 if side == args.n:

@@ -394,13 +394,15 @@ def test_solve_side_mismatch(tmp_path, capsys):
     code, out, err = run(capsys, "solve", "4", "--state", str(board))
     assert code == 2
     assert "side-3" in err
-    # a larger board is longer than any side-2 board, and is still named by its side
-    board.write_text(LightState.all_on(5).to_text())
-    assert run(capsys, "solve", "2", "--state", str(board)) == (
-        2,
-        "",
-        f"solve: {board} is a side-5 board, expected side 2\n",
-    )
+    # a larger board is longer than any side-2 board, and is still named by its
+    # side, with LF or with CR line ends
+    for end in "\n", "\r":
+        board.write_bytes(LightState.all_on(5).to_text().replace("\n", end).encode())
+        assert run(capsys, "solve", "2", "--state", str(board)) == (
+            2,
+            "",
+            f"solve: {board} is a side-5 board, expected side 2\n",
+        )
 
 
 @pytest.mark.parametrize(
@@ -450,13 +452,14 @@ def test_solve_reads_at_most_the_longest_board_of_its_side(tmp_path, capsys, n):
 
 def test_solve_refuses_a_long_tail_of_blank_lines(tmp_path, capsys):
     board = tmp_path / "board.txt"
-    board.write_bytes(b"1\n1\n" + b"\n" * 3_000_000)
-    code, out, err = run(capsys, "solve", "1", "--state", str(board))
-    assert (code, out) == (2, "")
-    assert err == (
-        f"solve: {board}: line 5, column 1: "
-        "file exceeds 6 characters, the most a side-1 board needs\n"
-    )
+    for end in b"\n", b"\r":  # text mode reads a lone CR as a line end
+        board.write_bytes(b"1" + end + b"1" + end + end * 3_000_000)
+        code, out, err = run(capsys, "solve", "1", "--state", str(board))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"solve: {board}: line 5, column 1: "
+            "file exceeds 6 characters, the most a side-1 board needs\n"
+        )
 
 
 def test_solve_requires_exactly_one_source():

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from fibgrid import DEFAULT_DEGREE_CAP, Case, Report, to_text
+from fibgrid import DEFAULT_DEGREE_CAP, Case, PolyGF2, Report, to_text
 from fibgrid.checks import all2, equivalence, powers
 
 
@@ -82,6 +82,13 @@ def test_table_rendering():
     mixed = to_text(Report("x", (Case("k=1", 2, 0),)))
     assert "1 of 1 cases failed" in mixed
     assert "verified" not in mixed
+    # a polynomial value prints in hex, as on a FAIL line; an empty table keeps its result line
+    poly = to_text(Report("x", (Case("n=1", 0, PolyGF2(3)),)))
+    assert poly == (
+        "== x ==\n  n=1  expected=0    computed=03   fail\nresult: fail (1 of 1 cases failed)\n"
+    )
+    empty = to_text(Report("x", ()))
+    assert empty == "== x ==\nresult: pass, verified for the tested range (0 cases)\n"
 
 
 def test_validation():

@@ -275,7 +275,13 @@ def main(argv: list[str] | None = None) -> int:
             if value is not None and value > limit:
                 print(f"{key}: {name} must be <= {limit}, got {value}", file=sys.stderr)
                 return EXIT_USAGE
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a buffered write fails here, not at interpreter exit
+    except OSError as exc:  # a full device, or a closed pipe (BrokenPipeError)
+        print(f"{args.command}: cannot write standard output: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    return code
 
 
 if __name__ == "__main__":

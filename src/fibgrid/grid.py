@@ -73,10 +73,6 @@ class LightState(_Frozen):
         return cls(n, (1 << (n * n)) - 1)
 
     @classmethod
-    def all_off(cls, n: int) -> "LightState":
-        return cls(n, 0)
-
-    @classmethod
     def from_text(cls, text: str) -> "LightState":
         """Parse the exchange format: a side-length line, then n rows of 0/1 digits.
 
@@ -233,15 +229,6 @@ class GridSystem:
             ^ (presses >> n)
         )
 
-    def row_bits(self, v: int) -> int:
-        """Matrix row for pressing cell v, as a column bitset."""
-        if not 0 <= v < self.size:
-            raise IndexError("cell index out of range")
-        return self._toggle(1 << v)
-
-    def rank(self) -> int:
-        return self.size - self.nullity()
-
     def nullity(self) -> int:
         """Kernel dimension over GF(2), equal to the nullity of M."""
         return len(self._kernel)
@@ -287,9 +274,3 @@ class GridSystem:
         if self._toggle(presses) != state.bits:
             return None
         return LightState(self.n, presses)
-
-    def count_solutions(self, state: LightState) -> int:
-        """Number of distinct solving press patterns: 2**nullity, given solvability."""
-        if self.solve(state) is None:
-            raise ValueError("state is not solvable")
-        return 1 << self.nullity()

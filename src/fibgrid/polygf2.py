@@ -208,23 +208,12 @@ class PolyGF2(_Frozen):
             buf[k >> 3] |= 1 << (k & 7)
         return cls(int.from_bytes(buf, "little"))
 
-    @classmethod
-    def from_hex(cls, s: str) -> "PolyGF2":
-        """Inverse of to_hex: little-endian coefficient bytes; empty string is zero."""
-        return cls(int.from_bytes(bytes.fromhex(s), "little"))
-
     # inspection
 
     @property
     def degree(self) -> int:
         """Highest power with a set coefficient, or -1 for the zero polynomial."""
         return self.bits.bit_length() - 1
-
-    def coefficient(self, i: int) -> int:
-        """Coefficient of x**i as 0 or 1."""
-        if i < 0:
-            raise ValueError("exponent must be nonnegative")
-        return self.bits >> i & 1
 
     # rendering
 
@@ -273,36 +262,10 @@ class PolyGF2(_Frozen):
         q, r = _divmod_bits(self.bits, other.bits)
         return PolyGF2(q), PolyGF2(r)
 
-    def __floordiv__(self, other: "PolyGF2") -> "PolyGF2":
-        if not isinstance(other, PolyGF2):
-            return NotImplemented
-        return PolyGF2(_divmod_bits(self.bits, other.bits)[0])
-
     def __mod__(self, other: "PolyGF2") -> "PolyGF2":
         if not isinstance(other, PolyGF2):
             return NotImplemented
         return PolyGF2(_divmod_bits(self.bits, other.bits)[1])
-
-    def __lshift__(self, k: int) -> "PolyGF2":
-        """Multiply by x**k."""
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            raise ValueError("shift must be nonnegative")
-        return PolyGF2(self.bits << k)
-
-    def __pow__(self, exponent: int) -> "PolyGF2":
-        """Square-and-multiply from the high bit; 0**0 is taken as 1 (empty product)."""
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            raise ValueError("negative power of a polynomial")
-        out = 1
-        for bit in bin(exponent)[2:]:
-            out = _square_bits(out)
-            if bit == "1":
-                out = _mul_bits(out, self.bits)
-        return PolyGF2(out)
 
     def __bool__(self) -> bool:
         return bool(self.bits)

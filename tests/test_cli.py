@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import errno
+import io
 import math
 import random
 import shlex
@@ -253,7 +255,7 @@ def _wrong_on_call(monkeypatch, name, k):
     def patched(*args):
         calls.append(args)
         got = real(*args)
-        return got << 1 if len(calls) == k else got
+        return PolyGF2(got.bits << 1) if len(calls) == k else got
 
     monkeypatch.setattr(checks, name, patched)
 
@@ -294,10 +296,11 @@ def test_verify_hmp_gcd_failure(capsys, monkeypatch):
     pairs = [(rng.randint(1, 200), rng.randint(1, 200)) for _ in range(4)]
     m, n = pairs[3]
     want = fib_hmp(math.gcd(m, n))
+    got = PolyGF2(want.bits << 1)
     _wrong_on_call(monkeypatch, "gcd", 4)
     assert run(capsys, "verify", "hmp-gcd", "--trials", "25", "--nmax", "200") == (
         1,
-        f"hmp-gcd: FAIL at m={m};n={n}, expected {want.to_hex()}, got {(want << 1).to_hex()}\n",
+        f"hmp-gcd: FAIL at m={m};n={n}, expected {want.to_hex()}, got {got.to_hex()}\n",
         "",
     )
 
@@ -312,11 +315,12 @@ def test_verify_ore_failure(capsys, monkeypatch):
     quartets = [(poly(), poly(), poly(), poly()) for _ in range(4)]
     a, b, c, d = quartets[3]
     want = gcd(a * b, c * d)
+    got = PolyGF2(want.bits << 1)
     _wrong_on_call(monkeypatch, "ore_product_gcd", 4)
     params = f"a={a.to_hex()};b={b.to_hex()};c={c.to_hex()};d={d.to_hex()}"
     assert run(capsys, "verify", "ore", "--trials", "25") == (
         1,
-        f"ore: FAIL at {params}, expected {want.to_hex()}, got {(want << 1).to_hex()}\n",
+        f"ore: FAIL at {params}, expected {want.to_hex()}, got {got.to_hex()}\n",
         "",
     )
 
@@ -350,7 +354,7 @@ def test_solve_verifies_on_a_bigger_board(capsys):
 
 def test_solve_state_file(tmp_path, capsys):
     board = tmp_path / "board.txt"
-    board.write_text(LightState.all_off(3).to_text())
+    board.write_text(LightState(3).to_text())
     assert run(capsys, "solve", "3", "--state", str(board)) == (0, "3\n000\n000\n000\n", "")
 
 
@@ -509,6 +513,59 @@ def test_oracle_line(capsys):
     assert run(capsys, "oracle", "1") == (0, "n=1 nullity=0\n", "")
 
 
+# -- standard output failures -------------------------------------------------------
+
+
+class _FailingStdout(io.StringIO):
+    """A standard output whose every write raises the given error."""
+
+    def __init__(self, exc: OSError):
+        super().__init__()
+        self.exc = exc
+
+    def write(self, text: str) -> int:
+        raise self.exc
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [OSError(errno.ENOSPC, "No space left on device"), BrokenPipeError(errno.EPIPE, "Broken pipe")],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fib", "6"],
+        ["d", "10"],
+        ["table", "5"],
+        ["verify", "delta", "--nmax", "3"],
+        ["solve", "5", "--all-ones"],
+        ["sierpinski", "4"],
+        ["oracle", "5"],
+    ],
+)
+def test_a_failed_stdout_write_is_one_line_and_exit_1(capsys, monkeypatch, argv, exc):
+    monkeypatch.setattr(sys, "stdout", _FailingStdout(exc))
+    code = main(argv)
+    assert (code, capsys.readouterr().err) == (
+        1,
+        f"{argv[0]}: cannot write standard output: {exc}\n",
+    )
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs the /dev/full device")
+def test_stdout_to_a_full_device():
+    # the line fits the stdout buffer, so the write fails only at the flush
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fibgrid.cli", "d", "10"],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    assert proc.returncode == 1
+    assert proc.stderr == "d: cannot write standard output: [Errno 28] No space left on device\n"
+
+
 # -- size limits -------------------------------------------------------------------
 
 
@@ -640,6 +697,18 @@ def test_readme_examples(capsys):
     assert [argv[0] for argv, _ in examples] == ["fib", "d", "oracle", "table", "solve", "sierpinski"]
     for argv, out in examples:
         assert run(capsys, *argv) == (0, "".join(out), ""), argv
+
+
+def test_readme_library_example(capsys):
+    # the README's python block runs, and its "# value" comments give f, then
+    # each printed line
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    scope: dict = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    promised = [line.split("  # ")[1] for line in block.splitlines() if "  # " in line]
+    assert promised == [str(scope["f"]), *capsys.readouterr().out.splitlines()]
+    assert promised == ["x^9 + x^5 + x", "8 8", "2", "0"]
 
 
 def test_console_entry_point():

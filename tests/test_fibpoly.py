@@ -65,7 +65,8 @@ def test_degree_and_monic():
 def test_doubling_identity():
     # f_{2n} = x * f_n^2, the k=1 slice of the odd-part identity
     for n in range(1, 65):
-        assert fib_hmp(2 * n) == X * fib_hmp(n) ** 2
+        f = fib_hmp(n)
+        assert fib_hmp(2 * n) == X * f * f
 
 
 def test_gcd_of_family_follows_index_gcd():
@@ -123,7 +124,7 @@ def test_degree_one_divisibility_to_2000():
         if n == 0:
             continue
         fs = subst_x_plus_1(f)
-        assert (f.coefficient(0) == 0) == (n % 2 == 0)
+        assert (f.bits & 1 == 0) == (n % 2 == 0)
         assert (f.bits.bit_count() % 2 == 0) == (n % 3 == 0)
-        assert (fs.coefficient(0) == 0) == (n % 3 == 0)
+        assert (fs.bits & 1 == 0) == (n % 3 == 0)
         assert (fs.bits.bit_count() % 2 == 0) == (n % 2 == 0)

@@ -24,15 +24,20 @@ def _expected_row(n: int, v: int) -> int:
     return bits
 
 
+def _row(s: GridSystem, v: int) -> int:
+    """Matrix row for pressing cell v: the board one press of v leaves."""
+    return s.apply(LightState(s.n, 1 << v)).bits
+
+
 def test_matrix_rows():
-    assert GridSystem(1).row_bits(0) == 1
+    assert _row(GridSystem(1), 0) == 1
     s3 = GridSystem(3)
-    weights = sorted(s3.row_bits(v).bit_count() for v in range(9))
+    weights = sorted(_row(s3, v).bit_count() for v in range(9))
     assert weights == [3, 3, 3, 3, 4, 4, 4, 4, 5]  # corners, edges, center
     for n in range(1, 7):
         s = GridSystem(n)
         for v in range(n * n):
-            assert s.row_bits(v) == _expected_row(n, v)
+            assert _row(s, v) == _expected_row(n, v)
 
 
 def test_matrix_is_symmetric():
@@ -40,7 +45,7 @@ def test_matrix_is_symmetric():
         s = GridSystem(n)
         for u in range(n * n):
             for v in range(n * n):
-                assert s.row_bits(u) >> v & 1 == s.row_bits(v) >> u & 1
+                assert _row(s, u) >> v & 1 == _row(s, v) >> u & 1
 
 
 def test_residue_matrix_is_symmetric_and_zero_rows_span_its_kernel():
@@ -78,16 +83,10 @@ def test_chase_matches_elimination_reference():
             assert (None if got is None else got.bits) == ref.solve(bits), f"n={n}"
 
 
-def test_rank_nullity(grid_cache):
+def test_kernel_basis(grid_cache):
     assert grid_cache(1).nullity() == 0
     assert grid_cache(4).nullity() == 4
     assert grid_cache(5).nullity() == 2
-    for n in range(1, 13):
-        s = grid_cache(n)
-        assert s.rank() + s.nullity() == n * n
-
-
-def test_kernel_basis(grid_cache):
     for n in range(1, 13):
         s = grid_cache(n)
         basis = s.kernel_basis()
@@ -97,12 +96,12 @@ def test_kernel_basis(grid_cache):
             assert k.bits != 0
             assert k.bits not in seen
             seen.add(k.bits)
-            assert s.apply(k) == LightState.all_off(n)
+            assert s.apply(k) == LightState(n)
 
 
 def test_solve_all_off_presses_nothing(grid_cache):
     for n in (1, 3, 4, 7):
-        assert grid_cache(n).solve(LightState.all_off(n)) == LightState.all_off(n)
+        assert grid_cache(n).solve(LightState(n)) == LightState(n)
 
 
 def test_solve_all_on_and_verify(grid_cache):
@@ -124,14 +123,6 @@ def test_unsolvable_state(grid_cache):
         k = s.kernel_basis()[0]
         state = LightState(n, k.bits & -k.bits)
         assert s.solve(state) is None
-        with pytest.raises(ValueError):
-            s.count_solutions(state)
-
-
-def test_count_solutions(grid_cache):
-    assert grid_cache(1).count_solutions(LightState.all_on(1)) == 1
-    assert grid_cache(4).count_solutions(LightState.all_on(4)) == 16
-    assert grid_cache(5).count_solutions(LightState.all_on(5)) == 4
 
 
 def test_solvable_fraction_for_side_five(grid_cache):
@@ -139,7 +130,7 @@ def test_solvable_fraction_for_side_five(grid_cache):
     # in four; the matrix is symmetric, so the image is the kernel's
     # orthogonal complement and membership is a parity test per basis vector
     s = grid_cache(5)
-    assert s.rank() == 23
+    assert s.size - s.nullity() == 23
     assert s.nullity() == 2
     kernel = s.kernel_basis()
     rng = random.Random(55)
@@ -150,7 +141,7 @@ def test_solvable_fraction_for_side_five(grid_cache):
         presses = s.solve(state)
         assert (presses is not None) == in_image
         if presses is not None:
-            assert s.apply(presses, state) == LightState.all_off(5)
+            assert s.apply(presses, state) == LightState(5)
             hits += 1
     assert 400 < hits < 600  # seeded draw sits near the exact 500
 
@@ -169,7 +160,7 @@ def test_solution_coset_is_exact(grid_cache):
                 bits ^= k.bits
         assert s.apply(LightState(4, bits)) == target
         seen.add(bits)
-    assert len(seen) == s.count_solutions(target)
+    assert len(seen) == 1 << s.nullity()
 
 
 def test_apply_involutive(grid_cache):
@@ -189,7 +180,7 @@ def test_dimension_mismatch():
     with pytest.raises(ValueError):
         s.apply(LightState.all_on(4))
     with pytest.raises(ValueError):
-        s.apply(LightState.all_off(3), LightState.all_off(2))
+        s.apply(LightState(3), LightState(2))
 
 
 def test_shared_instance_solves_across_threads():
@@ -224,7 +215,7 @@ def test_state_round_trip():
     assert text == "3\n101\n010\n101\n"
     assert LightState.from_text(text) == state
     assert str(state) == text
-    assert LightState.from_text("1\n0\n") == LightState.all_off(1)
+    assert LightState.from_text("1\n0\n") == LightState(1)
     assert LightState.from_text("2\n11\n11\n") == LightState.all_on(2)
     # trailing blank lines are tolerated, content is not
     assert LightState.from_text("1\n1\n\n") == LightState(1, 1)

@@ -58,5 +58,6 @@ def test_self_similarity():
     # double scale with a one-column shift
     raster = render(128)
     for n in range(1, 65):
-        doubled = X * PolyGF2(raster.rows[n - 1]) ** 2
+        row = PolyGF2(raster.rows[n - 1])
+        doubled = X * row * row
         assert raster.rows[2 * n - 1] == doubled.bits

@@ -81,10 +81,9 @@ def test_delta_rule_is_the_x_multiplicity_comparison(a, b, i, j):
     # A and B have the same y-adic valuation exactly when x divides f(x+1)
     # more often than it divides f, for f = A(y) + x B(y) times x^i (x+1)^j
     assume(a | b)
-    f = PolyGF2(join(a, b) << i)
+    f = join(a, b) << i
     for _ in range(j):
-        f = f * PolyGF2(0b11)
-    f = f.bits
+        f ^= f << 1  # times x + 1
     for _ in range(i):
         a, b = _times_x(a, b)
     for _ in range(j):

@@ -45,6 +45,9 @@ def test_construction_and_degree():
     assert P("x^5 + x").degree == 5
     assert PolyGF2(ONE.bits << 7) == P("x^7")
     assert PolyGF2(0b101) == P("x^2 + 1")
+    assert P("x^2 + 1").bits >> 0 & 1 == 1
+    assert P("x^2 + 1").bits >> 1 & 1 == 0
+    assert P("x^2 + 1").bits >> 100 & 1 == 0
 
 
 def test_equality_is_structural():

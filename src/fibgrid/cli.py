@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import os
 import sys
 
 from .checks import SWEEPS, to_text
@@ -280,6 +281,11 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()  # a buffered write fails here, not at interpreter exit
     except OSError as exc:  # a full device, or a closed pipe (BrokenPipeError)
         print(f"{args.command}: cannot write standard output: {exc}", file=sys.stderr)
+        with open(os.devnull, "w") as null:  # a second failed flush at exit ends in status 120
+            try:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+            except (AttributeError, ValueError):  # no descriptor (io.UnsupportedOperation)
+                pass
         return EXIT_FAIL
     return code
 

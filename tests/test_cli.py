@@ -5,6 +5,7 @@ from __future__ import annotations
 import errno
 import io
 import math
+import os
 import random
 import shlex
 import subprocess
@@ -561,6 +562,35 @@ def test_stdout_to_a_full_device():
             stdout=full,
             stderr=subprocess.PIPE,
             text=True,
+        )
+    assert proc.returncode == 1
+    assert proc.stderr == "d: cannot write standard output: [Errno 28] No space left on device\n"
+
+
+def test_stdout_to_a_closed_pipe():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fibgrid.cli", "d", "10"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == "d: cannot write standard output: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs the /dev/full device")
+def test_stdout_goes_to_devnull_after_a_failed_write():
+    # a later write and the flush at interpreter exit would fail again, with
+    # "Exception ignored" on stderr and status 120, on the old descriptor
+    code = "import sys; from fibgrid.cli import main; code = main(['d', '10']); print('more'); sys.exit(code)"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-c", code], stdout=full, stderr=subprocess.PIPE, text=True
         )
     assert proc.returncode == 1
     assert proc.stderr == "d: cannot write standard output: [Errno 28] No space left on device\n"

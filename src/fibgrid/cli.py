@@ -31,8 +31,8 @@ EXIT_USAGE = 2
 # f_{n+1}'s odd part and is still quadratic, 5.2-5.7 s at 2,000,000 on a
 # shared 2-core machine.  fib builds f_n by the linear ladder, but
 # --all-methods also runs the quadratic recurrence, about 25 s at 1,000,000.
-# table runs one GCD per odd part of n + 1, 15-17 s at 30,000.  A raster
-# of ROWS rows prints 2*ROWS^2 characters, 32 MiB at 4096.  A verify sweep's
+# table runs one GCD per odd part of n + 1, 15-17 s at 30,000.  A raster of ROWS rows
+# prints 2*ROWS^2 characters, 32 MiB at 4096 (85 MiB process peak).  A verify sweep's
 # flag has the limit of the command building the same objects: fib for
 # hmp-gcd, oracle for oracle, d for all2 and equivalence (2*3^12 - 1 =
 # 1,062,881) and powers, table for recurrence (up to d_{2 nmax + 3}) and the
@@ -126,8 +126,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.all_ones:
         state = LightState.all_on(args.n)
     else:
-        # characters in the side-n board file with CRLF line ends, the longest
-        # canonical one; reading stops one past it, so no file exhausts memory
+        # a side-n board and n + 1 more characters; each line end counts as one
+        # character, whatever its form; reading stops one past, so no file exhausts memory
         cap = len(str(args.n)) + 2 + args.n * (args.n + 2)
         try:
             # latin-1 maps every byte to one character, so a stray byte is

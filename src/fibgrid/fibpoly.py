@@ -15,7 +15,6 @@ right-angled Sierpinski gasket: row k holds f_k, x^0 on the left, deg f_k < n.
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
 from collections.abc import Iterator
 
 from .polygf2 import PolyGF2, _square_bits
@@ -24,7 +23,6 @@ __all__ = [
     "fib_binomial",
     "fib_hmp",
     "fib_sequence",
-    "SierpinskiRaster",
     "render",
     "to_pbm",
     "to_ascii",
@@ -76,39 +74,33 @@ def fib_hmp(n: int) -> PolyGF2:
     return PolyGF2(a)
 
 
-class SierpinskiRaster(namedtuple("SierpinskiRaster", "n_rows rows")):
-    """Bit rows of f_1 .. f_{n_rows}; rows[k] packs row k+1, bit i = column i."""
+def render(n_rows: int) -> tuple[int, ...]:
+    """Rows of the square raster of f_1 .. f_{n_rows}, one recurrence step apart.
 
-    __slots__ = ()
-
-    @property
-    def width(self) -> int:
-        return self.n_rows
-
-
-def render(n_rows: int) -> SierpinskiRaster:
-    """Raster of the first n_rows polynomials, each row one recurrence step from the last."""
+    rows[k] packs f_{k+1}, bit i = column i; the side is len(rows), as
+    deg f_{n_rows} = n_rows - 1.
+    """
     if n_rows < 1:
         raise ValueError("n_rows must be >= 1")
     rows = itertools.islice(fib_sequence(n_rows), 1, None)  # f_0 is not drawn
-    return SierpinskiRaster(n_rows, tuple(f.bits for f in rows))
+    return tuple(f.bits for f in rows)
 
 
-def _cells(raster: SierpinskiRaster) -> Iterator[str]:
-    """Each row as width 0/1 characters, character i being column i, from one binary string."""
-    width = raster.width
-    return (format(bits, f"0{width}b")[::-1][:width] for bits in raster.rows)
+def _cells(rows: tuple[int, ...]) -> Iterator[str]:
+    """Each row as len(rows) 0/1 characters, character i being column i, from one binary string."""
+    width = len(rows)
+    return (format(bits, f"0{width}b")[::-1][:width] for bits in rows)
 
 
-def to_pbm(raster: SierpinskiRaster) -> str:
+def to_pbm(rows: tuple[int, ...]) -> str:
     """Plain PBM (P1): header, then space-separated 0/1 rows, 1 for a set coefficient."""
-    lines = [f"P1\n{raster.width} {raster.n_rows}", *map(" ".join, _cells(raster))]
-    return "\n".join(lines) + "\n"
+    header = f"P1\n{len(rows)} {len(rows)}"
+    return "\n".join([header, *map(" ".join, _cells(rows)), ""])
 
 
 _ASCII_CELLS = str.maketrans("01", ".#")
 
 
-def to_ascii(raster: SierpinskiRaster) -> str:
+def to_ascii(rows: tuple[int, ...]) -> str:
     """Terminal rendering: '#' for a set coefficient, '.' otherwise."""
-    return "\n".join(row.translate(_ASCII_CELLS) for row in _cells(raster)) + "\n"
+    return "\n".join(row.translate(_ASCII_CELLS) for row in _cells(rows)) + "\n"

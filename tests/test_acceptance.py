@@ -143,13 +143,13 @@ def test_c10_board_facts(grid_cache):
 
 
 def test_c11_raster_against_binomial_parity():
-    raster = render(128)
+    rows = render(128)
     for n in range(1, 129):
-        row = raster.rows[n - 1]
+        row = rows[n - 1]
         for i in range(128):
             assert row >> i & 1 == comb(n + i, 2 * i + 1) % 2, f"n={n}, i={i}"
     golden = (DATA / "sierpinski_128.pbm").read_text()
-    assert to_pbm(raster) == golden
+    assert to_pbm(rows) == golden
     print("criterion 11: PASS 128x128 raster matches comb parity and the golden PBM")
 
 

@@ -467,6 +467,20 @@ def test_solve_refuses_a_long_tail_of_blank_lines(tmp_path, capsys):
         )
 
 
+def test_solve_cap_counts_each_line_end_as_one_character(tmp_path, capsys):
+    # the side-2 cap is 11 characters; a CRLF line end is two bytes but one character
+    board = tmp_path / "board.txt"
+    board.write_bytes(b"2\r\n11\r\n11\r\n" + b"\r\n" * 3)  # 17 bytes, 11 characters
+    assert run(capsys, "solve", "2", "--state", str(board)) == (0, "2\n11\n11\n", "")
+    board.write_bytes(b"2\r\n11\r\n11\r\n" + b"\r\n" * 4)  # 19 bytes, 12 characters
+    assert run(capsys, "solve", "2", "--state", str(board)) == (
+        2,
+        "",
+        f"solve: {board}: line 7, column 1: "
+        "file exceeds 11 characters, the most a side-2 board needs\n",
+    )
+
+
 def test_solve_requires_exactly_one_source():
     with pytest.raises(SystemExit) as err:
         main(["solve", "3"])

@@ -1,9 +1,11 @@
-"""Fibonacci polynomial construction routes and the family's divisibility order."""
+"""Fibonacci polynomial construction routes, the family's divisibility order and its raster."""
 
 from __future__ import annotations
 
 import math
 import random
+import tracemalloc
+from math import comb
 
 import pytest
 
@@ -16,7 +18,10 @@ from fibgrid import (
     fib_hmp,
     fib_sequence,
     gcd,
+    render,
     subst_x_plus_1,
+    to_ascii,
+    to_pbm,
 )
 
 P = PolyGF2.parse
@@ -128,3 +133,69 @@ def test_degree_one_divisibility_to_2000():
         assert (f.bits.bit_count() % 2 == 0) == (n % 3 == 0)
         assert (fs.bits & 1 == 0) == (n % 3 == 0)
         assert (fs.bits.bit_count() % 2 == 0) == (n % 2 == 0)
+
+
+def test_render_shape():
+    rows = render(8)
+    assert len(rows) == 8
+    # row n carries f_n: degree n-1 keeps everything inside the square.  render
+    # streams the recurrence, so its rows are checked against the binomial form
+    for i, bits in enumerate(rows):
+        assert bits == fib_binomial(i + 1).bits
+        assert bits.bit_length() - 1 == i  # highest lit column sits on the diagonal
+    with pytest.raises(ValueError):
+        render(0)
+
+
+def test_single_cell():
+    rows = render(1)
+    assert rows == (1,)
+    assert to_pbm(rows) == "P1\n1 1\n1\n"
+    assert to_ascii(rows) == "#\n"
+
+
+def test_row_six():
+    assert render(8)[5] == 0b100010  # f_6 = x^5 + x
+    assert to_ascii(render(8)).splitlines()[5] == ".#...#.."
+
+
+def test_pbm_format():
+    text = to_pbm(render(4))
+    assert text == "P1\n4 4\n1 0 0 0\n0 1 0 0\n1 0 1 0\n0 0 0 1\n"
+
+
+def test_ascii_format():
+    text = to_ascii(render(4))
+    assert text == "#...\n.#..\n#.#.\n...#\n"
+
+
+def test_pbm_holds_at_most_two_copies_of_its_text():
+    # the row strings and the joined text; joining once, with the final line
+    # end inside the join, keeps a third copy from appearing at the end
+    rows = render(512)
+    tracemalloc.start()
+    try:
+        text = to_pbm(rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(text) == 524_299
+    assert peak <= 2.5 * len(text), peak / len(text)
+
+
+def test_against_binomial_parity_oracle():
+    rows = render(64)
+    for n in range(1, 65):
+        for i in range(64):
+            want = comb(n + i, 2 * i + 1) % 2
+            assert rows[n - 1] >> i & 1 == want, f"n={n}, i={i}"
+
+
+def test_self_similarity():
+    # row 2n is row n squared times x, so the gasket reproduces itself at
+    # double scale with a one-column shift
+    rows = render(128)
+    for n in range(1, 65):
+        row = PolyGF2(rows[n - 1])
+        doubled = X * row * row
+        assert rows[2 * n - 1] == doubled.bits

@@ -31,7 +31,6 @@ REPRS = [
         "Report(name='x', cases=(Case(params='n=1', expected=0, computed=PolyGF2('x + 1')),),"
         " scope='n=1..5')",
     ),
-    (render(3), "SierpinskiRaster(n_rows=3, rows=(1, 2, 5))"),
 ]
 
 VALUES = [value for value, _ in REPRS]
@@ -56,6 +55,8 @@ def test_equality_and_hash_follow_the_fields():
     assert len({PolyGF2(1), PolyGF2(1), LightState(1, 1), LightState(1, 1)}) == 2
     assert Report("x", (CASE,)) == Report("x", (CASE,), None)
     assert hash(Report("x", (CASE,))) == hash(Report("x", (CASE,), None))
+    # the raster is no record type: it is its rows, a plain tuple of ints
+    assert render(3) == (1, 2, 5)
 
 
 @pytest.mark.parametrize(
@@ -74,7 +75,7 @@ def test_value_types_refuse_assignment_and_deletion(value, field):
 
 @pytest.mark.parametrize(
     "value,field",
-    [(CASE, "params"), (NullityRecord(1, 0, 0), "d"), (Report("x", ()), "scope"), (render(2), "rows")],
+    [(CASE, "params"), (NullityRecord(1, 0, 0), "d"), (Report("x", ()), "scope")],
 )
 def test_records_refuse_assignment_and_deletion(value, field):
     with pytest.raises(AttributeError):

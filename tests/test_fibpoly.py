@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import random
 import tracemalloc
-from math import comb
 
 import pytest
 
@@ -187,7 +186,7 @@ def test_against_binomial_parity_oracle():
     rows = render(64)
     for n in range(1, 65):
         for i in range(64):
-            want = comb(n + i, 2 * i + 1) % 2
+            want = math.comb(n + i, 2 * i + 1) % 2
             assert rows[n - 1] >> i & 1 == want, f"n={n}, i={i}"
 
 

@@ -41,6 +41,9 @@ def _side_length(text: str) -> int:
         raise StateFormatError("missing side-length line", 1, 1)
     if not (head.isascii() and head.isdigit()):
         raise StateFormatError("side length must be a decimal integer", 1, 1)
+    head = head.lstrip("0") or "0"  # CPython's int() refuses more than 4300 digits
+    if len(head) > 4300:
+        raise StateFormatError(f"side length has {len(head)} digits, at most 4300 accepted", 1, 1)
     if int(head) < 1:
         raise StateFormatError("side length must be >= 1", 1, 1)
     return int(head)

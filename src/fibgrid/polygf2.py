@@ -44,39 +44,33 @@ def _divmod_bits(a: int, b: int) -> tuple[int, int]:
         raise ZeroDivisionError("division by zero polynomial")
     nb = b.bit_length()
     na = a.bit_length()
-    q = bytearray(max(na - nb + 8, 0) // 8)  # an int would be copied per quotient bit
+    q = 0  # an int, copied per quotient bit; each step's b << shift copies more
     while na >= nb:
         shift = na - nb
-        q[shift >> 3] |= 1 << (shift & 7)
+        q |= 1 << shift
         a ^= b << shift
         na = a.bit_length()
-    return int.from_bytes(q, "little"), a
+    return q, a
 
 
 def _gcd_bits(a: int, b: int) -> int:
-    """Euclid, with a and b trading roles between two inlined remainder loops.
+    """Euclid in one remainder loop, a mod b; then a and b swap, building no tuple.
 
-    Each loop shifts only while the dividend's degree is above the divisor's
+    The loop shifts only while the dividend's degree is above the divisor's
     and XORs the last, x^0 quotient term in place.  On CPython a shift of a
     1,000-digit int costs about 4x an XOR, and ``b << 0`` is a full copy,
     not a no-op; about a quarter of all Euclid steps have equal degrees.
     """
     na, nb = a.bit_length(), b.bit_length()
     while nb:
-        while na > nb:  # a mod b
+        while na > nb:
             a ^= b << (na - nb)
             na = a.bit_length()
         if na == nb:
             a ^= b
             na = a.bit_length()
-        if not na:
-            return b
-        while nb > na:  # b mod a
-            b ^= a << (nb - na)
-            nb = b.bit_length()
-        if nb == na:
-            b ^= a
-            nb = b.bit_length()
+        a, b = b, a
+        na, nb = nb, na
     return a
 
 

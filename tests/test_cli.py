@@ -410,6 +410,17 @@ def test_solve_side_mismatch(tmp_path, capsys):
         )
 
 
+def test_solve_side_length_past_the_int_digit_limit(tmp_path, capsys):
+    board = tmp_path / "board.txt"
+    board.write_text("9" * 5000 + "\n1\n")
+    for n in "100", "2000":
+        assert run(capsys, "solve", n, "--state", str(board)) == (
+            2,
+            "",
+            f"solve: {board}: line 1, column 1: side length has 5000 digits, at most 4300 accepted\n",
+        )
+
+
 @pytest.mark.parametrize(
     "content",
     [

@@ -290,3 +290,11 @@ def test_state_parse_errors(text, line, column):
     assert err.value.line == line
     assert err.value.column == column
     assert f"line {line}, column {column}" in str(err.value)
+
+
+def test_side_length_past_the_int_digit_limit():
+    # leading zeros do not count toward CPython's 4300-digit int() limit
+    assert LightState.from_text("0" * 4400 + "1\n1\n") == LightState(1, 1)
+    with pytest.raises(StateFormatError) as err:
+        LightState.from_text("9" * 5000 + "\n1\n")
+    assert str(err.value) == "line 1, column 1: side length has 5000 digits, at most 4300 accepted"

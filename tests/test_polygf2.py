@@ -233,7 +233,7 @@ def test_gcd_scales(p, q, r):
 
 
 def reference_gcd(a: int, b: int) -> int:
-    """Textbook Euclid on PolyGF2 divmod, independent of _gcd_bits's fused loop."""
+    """Textbook Euclid on PolyGF2 divmod, independent of _gcd_bits's in-place loop."""
     p, q = PolyGF2(a), PolyGF2(b)
     while q:
         p, q = q, divmod(p, q)[1]
@@ -257,8 +257,8 @@ def test_gcd_bits_edge_cases():
         (g, f): 1,  # deg a < deg b
         (_mul_bits(g, 0b11), fg): g,
         (0b10, 0b110): 0b10,
-        # a remainder loop ends on the divisor's degree, so the x^0 quotient
-        # term is XORed in place: a mod b first, then b mod a (x^4 + x^3 + 1, x^2 + x + 1)
+        # the remainder loop ends on the divisor's degree, so the x^0 quotient
+        # term is XORed in place: before and after a swap (x^4 + x^3 + 1, x^2 + x + 1)
         (0b11001, 0b111): 1,
         (0b111, 0b11001): 1,
         (_mul_bits(0b11001, g), _mul_bits(0b111, g)): g,

@@ -16,8 +16,10 @@ from fibgrid.cli import main
 # near-valid boards reach the row and cell checks, not just the header check
 _board_text = st.builds(
     lambda head, rows, sep: head + sep + sep.join(rows),
-    # the last two straddle CPython's 4300-digit int() limit
-    st.sampled_from(["0", "1", "2", "3", " 2 ", "02", "٣", "x", "", "9" * 5000, "0" * 4400 + "1"]),
+    # the last two exceed CPython's 4300-digit int() limit, the second only by leading zeros
+    st.sampled_from(
+        ["0", "1", "2", "3", " 2 ", "02", "٣", "x", "", "9" * 5000, "0" * 4400 + "1"]
+    ),
     st.lists(st.text(alphabet="01 2x\t٣²", max_size=4), max_size=5),
     st.sampled_from(["\n", "\r\n", "\r", "\x0b", " "]),
 )

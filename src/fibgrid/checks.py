@@ -35,14 +35,11 @@ from .nullity import _d_and_delta, d_of_n, delta_closed_form, delta_via_gcd
 from .polygf2 import PolyGF2, gcd, ore_product_gcd
 
 __all__ = [
-    "DEFAULT_DEGREE_CAP",
     "Case",
     "Report",
     "SWEEPS",
     "to_text",
 ]
-
-DEFAULT_DEGREE_CAP = 200_000
 
 
 class Case(namedtuple("Case", "params expected computed")):
@@ -199,9 +196,7 @@ def all2(*, kmax: int = 8) -> list[Report]:
     return [Report("all2", tuple(cases))]
 
 
-def powers(
-    *, amax: int = 51, kmax: int = 17, degree_cap: int = DEFAULT_DEGREE_CAP
-) -> list[Report]:
+def powers(*, amax: int = 51, kmax: int = 17, degree_cap: int = 200_000) -> list[Report]:
     """d(a^k - 1) should equal d(a - 1) for odd a with 21 not dividing a.
 
     Tests every odd a in 3..amax outside the excluded residues and every

@@ -16,7 +16,7 @@ import sys
 
 from .checks import SWEEPS, to_text
 from .fibpoly import fib_binomial, fib_hmp, fib_sequence, render, to_ascii, to_pbm
-from .grid import GridSystem, LightState, StateFormatError, _side_length
+from .grid import GridSystem, LightState, StateFormatError, _side_length, _side_text
 from .nullity import d_of_n, delta_closed_form, format_csv, table
 
 EXIT_OK = 0
@@ -156,7 +156,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             return EXIT_USAGE
         if side != args.n:
             print(
-                f"solve: {args.state} is a side-{side} board, expected side {args.n}",
+                f"solve: {args.state} is a side-{_side_text(side)} board, expected side {args.n}",
                 file=sys.stderr,
             )
             return EXIT_USAGE

@@ -5,15 +5,15 @@ neighbors.  Over GF(2) the press-to-effect map is the symmetric N x N matrix
 A + I (N = n*n).  Boards and press patterns are Python int bitsets, bit
 r*n + c for cell (r, c).
 
-The matrix is block-tridiagonal, so the first-row presses decide every other
-row: row r+1 must press exactly the lights that rows r-1 and r leave on in
-row r.  Chasing the lights down leaves a residue below the last row that
-depends linearly on the first-row presses, through an n x n matrix
+The matrix is block-tridiagonal, so the last-row presses decide every other
+row: the row above row r must press exactly the lights that rows r and r+1
+leave on in row r.  Chasing the lights up leaves a residue above the first
+row that depends linearly on the last-row presses, through an n x n matrix
 M = f_{n+1}(B), where B = A_path + I acts on one row.  So
 nullity(A + I) = nullity(M), and every question about A + I is one
 elimination on M plus chases.  M is a polynomial in the symmetric B, so it is
 symmetric: rows of M that sum to zero name a kernel vector of M, and rows that
-sum to a residue name first-row presses that leave it.  Forward elimination
+sum to a residue name last-row presses that leave it.  Forward elimination
 alone therefore finds both.  No Fibonacci polynomial is built here, so this
 route to d_n is independent of the GCD route.
 """
@@ -47,6 +47,12 @@ def _side_length(text: str) -> int:
     if int(head) < 1:
         raise StateFormatError("side length must be >= 1", 1, 1)
     return int(head)
+
+
+def _side_text(n: int) -> str:
+    """n in decimal, or its digit count past 20 digits, for error lines of bounded length."""
+    text = str(n)
+    return text if len(text) <= 20 else f"<{len(text)} digits>"
 
 
 class LightState(_Frozen):
@@ -90,14 +96,14 @@ class LightState(_Frozen):
         for r, row in enumerate(rows):  # errors in reading order
             lineno = 2 + r
             if len(row) != n:
-                raise StateFormatError(
-                    f"row has {len(row)} cells, expected {n}", lineno, min(len(row), n) + 1
-                )
+                message = f"row has {len(row)} cells, expected {_side_text(n)}"
+                raise StateFormatError(message, lineno, min(len(row), n) + 1)
             if row.count("0") + row.count("1") != n:
                 c = next(c for c, ch in enumerate(row) if ch not in "01")
                 raise StateFormatError(f"cell must be 0 or 1, got {row[c]!r}", lineno, c + 1)
         if len(rows) < n:
-            raise StateFormatError(f"expected {n} row lines, found {len(rows)}", len(lines) + 1, 1)
+            message = f"expected {_side_text(n)} row lines, found {len(rows)}"
+            raise StateFormatError(message, len(lines) + 1, 1)
         for extra in range(n + 1, len(lines)):
             if lines[extra].strip():
                 raise StateFormatError("unexpected content after the board", extra + 1, 1)
@@ -149,13 +155,11 @@ def _echelon(rows: list[int], width: int) -> tuple[dict[int, int], list[int]]:
 class GridSystem:
     """Toggle system of the n x n grid, answered by light chasing.
 
-    The constructor eliminates the n x n residue matrix M once, takes the
-    kernel of M from the rows that reduce to zero, and reduces the kernel
-    of A + I to echelon form, pivoting on each vector's highest set bit.  A
-    kernel vector is fixed by its last row (chase upwards from the bottom),
-    so every pivot lies on the last row and the reduction runs on last rows
-    alone; each reduced vector is kept as the first row that chases out to
-    it.  The pivots are the free cells: the columns left
+    Every chase starts from the last row, so a kernel vector of A + I is
+    fixed by its last row, and the kernel of M is those last rows.  The
+    constructor eliminates M once, takes its kernel from the rows that reduce
+    to zero, and reduces it to echelon form, pivoting on each last row's
+    highest set bit.  The pivots are the free cells: the columns left
     without a pivot when A + I is eliminated on lowest set bits.  Nothing
     changes after the constructor, so one instance is safe to share across
     threads.
@@ -172,50 +176,49 @@ class GridSystem:
         self._not_first = self._full ^ first_col
         self._not_last = self._full ^ (first_col << (n - 1))
 
-        # Bit-sliced chase: lane c (bits c*n .. c*n + n-1) masks the first-row
+        # Bit-sliced chase: lane c (bits c*n .. c*n + n-1) masks the last-row
         # presses whose parity presses cell c of the current row.  After n
         # steps, lane c is row c of M.
         prev, cur = 0, int("1" + ("0" * n + "1") * (n - 1), 2)
         for _ in range(n):
             prev, cur = cur, prev ^ cur ^ (cur << n & self._full) ^ (cur >> n)
-        self._pivots, null = _echelon(self._split(cur), n)
+        self._pivots, null = _echelon(self._split(cur)[::-1], n)
 
-        # Kernel vectors of M, each packed as its chased last row above itself.
-        zeros = [0] * n
+        # Kernel vectors of M, each the last row of a kernel vector of A + I.
         reduced: dict[int, int] = {}
-        for first in null:
-            r = self._chase(first, zeros)[n - 1] << n | first
-            while (p := r.bit_length() - 1 - n) in reduced:
+        for r in null:
+            while (p := r.bit_length() - 1) in reduced:
                 r ^= reduced[p]
             reduced[p] = r
         tops = sorted(reduced)
         for i, p in enumerate(tops):
             for q in tops[i + 1 :]:
-                if reduced[q] >> (n + p) & 1:
+                if reduced[q] >> p & 1:
                     reduced[q] ^= reduced[p]
-        # (pivot column on the last row, first row of its kernel vector)
-        self._kernel = tuple((p, reduced[p] & self._row) for p in tops)
+        # (free cell on the last row, last row of its kernel vector)
+        self._kernel = tuple((p, reduced[p]) for p in tops)
 
     def _split(self, bits: int) -> list[int]:
-        """Rows 0..n-1 of an n*n-bit int, through one binary string."""
+        """Rows n-1 down to 0 of an n*n-bit int, through one binary string."""
         n = self.n
         text = format(bits, f"0{self.size}b")
-        return [int(text[i - n : i], 2) for i in range(self.size, 0, -n)]
+        return [int(text[i : i + n], 2) for i in range(0, self.size, n)]
 
     def _join(self, rows: list[int]) -> int:
         """Inverse of _split."""
         n = self.n
-        return int("".join(format(r, f"0{n}b") for r in reversed(rows)), 2)
+        return int("".join(format(r, f"0{n}b") for r in rows), 2)
 
-    def _chase(self, first: int, board: list[int]) -> list[int]:
-        """Press rows x_0 = first, x_1, ..., x_n down the given board rows.
+    def _chase(self, start: int, board: list[int]) -> list[int]:
+        """Press rows x_0 = start, x_1, ..., x_n up the board, from its last row.
 
+        Row r counts from the bottom, as _split lists the board's rows.
         x_{r+1} = board_r + x_{r-1} + B x_r presses what rows r-1 and r leave
         on in row r, so x_0 .. x_{n-1} clear rows 0 .. n-2, and x_n, a row
-        below the board, is what they leave on in the last row.
+        above the board, is what they leave on in the first row.
         """
         row = self._row
-        xs = [0, first]
+        xs = [0, start]
         for b in board:
             cur = xs[-1]
             xs.append((b ^ xs[-2] ^ cur ^ cur << 1 ^ cur >> 1) & row)
@@ -240,8 +243,8 @@ class GridSystem:
         """One kernel vector per free cell: that cell pressed, no other free cell."""
         zeros = [0] * self.n
         return tuple(
-            LightState(self.n, self._join(self._chase(first, zeros)[:-1]))
-            for _, first in self._kernel
+            LightState(self.n, self._join(self._chase(last, zeros)[:-1]))
+            for _, last in self._kernel
         )
 
     def apply(self, presses: LightState, state: LightState | None = None) -> LightState:
@@ -256,24 +259,23 @@ class GridSystem:
     def solve(self, state: LightState) -> LightState | None:
         """Press pattern that turns the given state all-off, or None if unsolvable.
 
-        A chase from no first-row presses leaves a residue c; first-row
+        A chase from no last-row presses leaves a residue c; last-row
         presses y with M y = c clear it, and reducing c against M's pivot
-        rows names them.  Adding the kernel vector of each free cell that
-        y's chase presses leaves every free cell unpressed, so the answer is
-        unique, and one more chase gives it.  Every candidate is re-applied
-        and checked before being returned; a candidate that fails the check
+        rows names them.  Adding the kernel vector of each free cell that y
+        presses leaves every free cell unpressed, so the answer is unique,
+        and one more chase gives it.  Every candidate is re-applied and
+        checked before being returned; a candidate that fails the check
         certifies the state unsolvable, since a solvable c lies in the span
         of M's rows and so reduces to zero.
         """
         if state.n != self.n:
             raise ValueError("state side length does not match the system")
         board = self._split(state.bits)
-        first = _reduce(self._pivots, self._chase(0, board)[-1], self.n) >> self.n
-        last = self._chase(first, board)[-2]
-        for p, kernel_first in self._kernel:
+        last = _reduce(self._pivots, self._chase(0, board)[-1], self.n) >> self.n
+        for p, kernel_last in self._kernel:
             if last >> p & 1:
-                first ^= kernel_first
-        presses = self._join(self._chase(first, board)[:-1])
+                last ^= kernel_last
+        presses = self._join(self._chase(last, board)[:-1])
         if self._toggle(presses) != state.bits:
             return None
         return LightState(self.n, presses)

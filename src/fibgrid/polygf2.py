@@ -12,9 +12,6 @@ from __future__ import annotations
 __all__ = [
     "MAX_PARSE_DEGREE",
     "PolyGF2",
-    "ZERO",
-    "ONE",
-    "X",
     "gcd",
     "subst_x_plus_1",
     "ore_product_gcd",
@@ -263,11 +260,6 @@ class PolyGF2(_Frozen):
 
     def __bool__(self) -> bool:
         return bool(self.bits)
-
-
-ZERO = PolyGF2(0)
-ONE = PolyGF2(1)
-X = PolyGF2(2)
 
 
 # -- module-level operations -------------------------------------------------

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import ast
 import errno
 import io
 import math
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -421,6 +423,23 @@ def test_solve_side_length_past_the_int_digit_limit(tmp_path, capsys):
         )
 
 
+def test_solve_names_a_long_side_by_its_digit_count(tmp_path, capsys):
+    # each line stays short: the 4,300-digit side is not echoed
+    board = tmp_path / "board.txt"
+    side = "9" * 4300
+    for content, message in [
+        (side + "\n1\n", ": line 2, column 2: row has 1 cells, expected <4300 digits>"),
+        (side + "\n", ": line 2, column 1: expected <4300 digits> row lines, found 0"),
+        (side + "\n" + "1" * 20_000 + "\n", " is a side-<4300 digits> board, expected side 100"),
+    ]:
+        board.write_text(content)
+        assert run(capsys, "solve", "100", "--state", str(board)) == (
+            2,
+            "",
+            f"solve: {board}{message}\n",
+        )
+
+
 @pytest.mark.parametrize(
     "content",
     [
@@ -817,3 +836,32 @@ def test_package_exports_resolve_once():
     assert len(fibgrid.__all__) == len(set(fibgrid.__all__))
     assert [name for name in fibgrid.__all__ if not hasattr(fibgrid, name)] == []
     assert fibgrid.MAX_PARSE_DEGREE == 1 << 24
+
+
+# public names that no other src/ module uses and the README does not name
+_SURFACE_EXCEPTIONS = {
+    "__version__": "the package version, read by tools rather than by code",
+}
+
+
+def test_every_public_name_has_a_user():
+    # a public name is used by a src/ module other than its own, or named in
+    # the README, or listed above with its reason; otherwise it goes
+    src = Path(fibgrid.__file__).parent
+    readme = (src.parent.parent / "README.md").read_text(encoding="utf-8")
+    used: dict[str, set[str]] = {}  # name -> the src/ modules whose code names it
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if isinstance(name, str):
+                used.setdefault(name, set()).add(path.stem)
+    modules = ("polygf2", "fibpoly", "nullity", "grid", "checks")
+    home = {name: m for m in modules for name in getattr(fibgrid, m).__all__}
+    unused = [
+        name
+        for name in fibgrid.__all__
+        if not used.get(name, set()) - {home.get(name), "__init__"}
+        and not re.search(rf"\b{re.escape(name)}\b", readme)
+        and name not in _SURFACE_EXCEPTIONS
+    ]
+    assert unused == []

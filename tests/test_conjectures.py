@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from fibgrid import DEFAULT_DEGREE_CAP, Case, PolyGF2, Report, to_text
+from fibgrid import SWEEPS, Case, PolyGF2, Report, to_text
 from fibgrid.checks import all2, equivalence, powers
 
 
@@ -102,4 +102,4 @@ def test_validation():
         powers(amax=9, kmax=1, degree_cap=2)
     with pytest.raises(ValueError):
         equivalence(kmax=0)
-    assert DEFAULT_DEGREE_CAP == 200_000
+    assert SWEEPS["powers"].__kwdefaults__["degree_cap"] == 200_000

@@ -9,9 +9,6 @@ import tracemalloc
 import pytest
 
 from fibgrid import (
-    ONE,
-    X,
-    ZERO,
     PolyGF2,
     fib_binomial,
     fib_hmp,
@@ -24,6 +21,7 @@ from fibgrid import (
 )
 
 P = PolyGF2.parse
+ZERO, ONE, X = PolyGF2(0), PolyGF2(1), PolyGF2(2)
 
 
 def test_first_values():

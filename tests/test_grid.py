@@ -9,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from fibgrid import GridSystem, LightState, StateFormatError
+from fibgrid import GridSystem, LightState, StateFormatError, d_of_n
 from fibgrid.grid import _echelon
 from reference_grid import EliminationGrid
 
@@ -51,7 +51,7 @@ def test_matrix_is_symmetric():
 def test_residue_matrix_is_symmetric_and_zero_rows_span_its_kernel():
     # The solver rests on M = f_{n+1}(B) being symmetric: a combination of
     # M's rows that sums to zero is then a kernel vector of M.  Column j of M
-    # is the residue left by pressing first-row cell j on an empty board.
+    # is the residue left by pressing last-row cell j on an empty board.
     for n in range(1, 65):
         s = GridSystem(n)
         zeros = [0] * n
@@ -81,6 +81,28 @@ def test_chase_matches_elimination_reference():
         for bits in boards:
             got = s.solve(LightState(n, bits))
             assert (None if got is None else got.bits) == ref.solve(bits), f"n={n}"
+
+
+def test_high_nullity_kernel_and_solve_at_side_319():
+    # nullity 256, past the elimination reference's reach: each basis vector
+    # clears the board, and its last row holds one free cell, its own
+    n = 319
+    s = GridSystem(n)
+    assert s.nullity() == d_of_n(n) == 256
+    basis = s.kernel_basis()
+    low = n * (n - 1)  # bit of the last row's first cell
+    free = [(k.bits >> low).bit_length() - 1 for k in basis]
+    for k, p in zip(basis, free):
+        assert s.apply(k) == LightState(n)
+        assert [q for q in free if k.bits >> (low + q) & 1] == [p]
+    rng = random.Random(319)
+    for board in LightState.all_on(n), s.apply(LightState(n, rng.getrandbits(n * n))):
+        presses = s.solve(board)
+        assert presses is not None and s.apply(presses) == board
+        assert not any(presses.bits >> (low + p) & 1 for p in free)
+    board = LightState(n, rng.getrandbits(n * n))
+    assert s.solve(board) is None
+    assert any((k.bits & board.bits).bit_count() % 2 for k in basis)
 
 
 def test_kernel_basis(grid_cache):
@@ -298,3 +320,13 @@ def test_side_length_past_the_int_digit_limit():
     with pytest.raises(StateFormatError) as err:
         LightState.from_text("9" * 5000 + "\n1\n")
     assert str(err.value) == "line 1, column 1: side length has 5000 digits, at most 4300 accepted"
+
+
+def test_row_errors_name_a_side_past_20_digits_by_its_digit_count():
+    for side, shown in ("9" * 20, "9" * 20), ("1" + "0" * 20, "<21 digits>"):
+        with pytest.raises(StateFormatError) as err:
+            LightState.from_text(side + "\n1\n")
+        assert str(err.value) == f"line 2, column 2: row has 1 cells, expected {shown}"
+        with pytest.raises(StateFormatError) as err:
+            LightState.from_text(side + "\n")
+        assert str(err.value) == f"line 2, column 1: expected {shown} row lines, found 0"

@@ -7,9 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fibgrid import (
-    ONE,
-    X,
-    ZERO,
     PolyGF2,
     gcd,
     ore_product_gcd,
@@ -27,6 +24,7 @@ from fibgrid.polygf2 import (
 from ybasis import ascend, join
 
 P = PolyGF2.parse
+ZERO, ONE, X = PolyGF2(0), PolyGF2(1), PolyGF2(2)
 
 polys = st.binary(max_size=256).map(lambda b: PolyGF2(int.from_bytes(b, "little")))
 small_polys = st.binary(max_size=48).map(lambda b: PolyGF2(int.from_bytes(b, "little")))

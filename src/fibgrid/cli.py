@@ -24,8 +24,8 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 # command -> {argument: largest accepted value}.  At grid side 2000 oracle
-# takes 1.5-1.7 s and 26 MiB, solve 1.7 s and 33 MiB (3.0-3.3 s at side
-# 1983, nullity 1280).  The 0.93 GiB of 2000 vectors of 2000^2 bits is the
+# takes 1.1-1.3 s and 26 MiB, solve 1.1-1.5 s and 33 MiB, and side 1983
+# (nullity 1280) no longer.  The 0.93 GiB of 2000 vectors of 2000^2 bits is the
 # library's kernel_basis(), which no command calls.
 # d's GCD runs in GF(2)[x^2 + x] at half the degree of
 # f_{n+1}'s odd part and is still quadratic, 5.2-5.7 s at 2,000,000 on a

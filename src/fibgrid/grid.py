@@ -215,7 +215,7 @@ class GridSystem:
         Row r counts from the bottom, as _split lists the board's rows.
         x_{r+1} = board_r + x_{r-1} + B x_r presses what rows r-1 and r leave
         on in row r, so x_0 .. x_{n-1} clear rows 0 .. n-2, and x_n, a row
-        above the board, is what they leave on in the first row.
+        above the board, is what they leave on in the top row.
         """
         row = self._row
         xs = [0, start]

@@ -847,20 +847,20 @@ _SURFACE_EXCEPTIONS = {
 def test_every_public_name_has_a_user():
     # a public name is used by a src/ module other than its own, or named in
     # the README, or listed above with its reason; otherwise it goes
-    src = Path(fibgrid.__file__).parent
-    readme = (src.parent.parent / "README.md").read_text(encoding="utf-8")
-    used: dict[str, set[str]] = {}  # name -> the src/ modules whose code names it
-    for path in src.glob("*.py"):
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    users: dict[str, set[str]] = {}  # name -> the src/ modules whose code names it
+    for path in Path(fibgrid.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
-            if isinstance(name, str):
-                used.setdefault(name, set()).add(path.stem)
-    modules = ("polygf2", "fibpoly", "nullity", "grid", "checks")
-    home = {name: m for m in modules for name in getattr(fibgrid, m).__all__}
+            for field in "id", "attr", "name":  # a Name, an Attribute, an imported name
+                if isinstance(name := getattr(node, field, None), str):
+                    users.setdefault(name, set()).add(path.stem)
+    home = {"__version__": "__init__"}
+    for module in "polygf2", "fibpoly", "nullity", "grid", "checks":
+        home.update(dict.fromkeys(getattr(fibgrid, module).__all__, module))
     unused = [
         name
         for name in fibgrid.__all__
-        if not used.get(name, set()) - {home.get(name), "__init__"}
+        if not users.get(name, set()) - {home[name]}
         and not re.search(rf"\b{re.escape(name)}\b", readme)
         and name not in _SURFACE_EXCEPTIONS
     ]

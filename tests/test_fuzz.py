@@ -16,8 +16,8 @@ from fibgrid.cli import main
 # near-valid boards reach the row and cell checks, not just the header check
 _board_text = st.builds(
     lambda head, rows, sep: head + sep + sep.join(rows),
-    # the last three reach CPython's 4300-digit int() limit, the second only by
-    # leading zeros, and the third is at the limit
+    # the last three sit at or past CPython's 4300-digit int() limit: 5000
+    # digits, 4401 only by leading zeros, and exactly 4300
     st.sampled_from(
         ["0", "1", "2", "3", " 2 ", "02", "٣", "x", "", "9" * 5000, "0" * 4400 + "1", "9" * 4300]
     ),

@@ -1,9 +1,9 @@
 """Bit-packed GF(2) kernels for the grid toggle game.
 
-The package computes the Fibonacci polynomial family over GF(2), reduces
-the kernel dimension of the n x n all-press toggle system to a single
-polynomial GCD, cross-checks that shortcut against light chasing on the
-grid itself (one n x n elimination, no polynomials), and sweeps the
+The package computes the Fibonacci polynomial family over GF(2), reduces the
+kernel dimension of the n x n all-press toggle system to a single polynomial
+GCD, cross-checks it by light chasing (f_{n+1}'s recurrence at the line
+operator, no polygf2 kernel, GCD, ladder or y-basis), and sweeps the
 identities and open conjectures that the nullity sequence satisfies.
 
 Each module's __all__ owns its public names; the package re-exports them.

@@ -6,16 +6,16 @@ with the documented defaults in its signature, and returns a list of
 Reports.  SWEEPS maps the CLI name of each sweep to its function, in the
 order `verify all` runs them.
 
-Which route each sweep reads: d_of_n, the factored fast route, is checked
-by `oracle` against the light-chasing nullity of `GridSystem`, which builds
-no polynomial, and is the value under test in `all2` and `powers`.
-`recurrence`, `delta` and `equivalence` check identities that d_of_n uses
-to factor f_{n+1}, so they never read d_of_n.  `recurrence` and
-`equivalence` read `_d_and_delta`, and `delta` reads `delta_via_gcd`: both
-build the unreduced f_{n+1} as A(y) + x B(y), y = x^2 + x.  d comes from
-gcd(A, B), which rests on that basis and on no doubling identity of d, and
-delta from whether A and B have the same y-adic valuation, with no Euclid
-and not from the mod-3 closed form.
+Which route each sweep reads: d_of_n, the factored fast route, is checked by
+`oracle` against `GridSystem`'s light chasing, which runs f_{n+1}'s recurrence
+at the line operator with no polygf2 kernel, GCD, ladder or y-basis, and is
+the value under test in `all2` and `powers`.  `recurrence`, `delta` and
+`equivalence` check identities that d_of_n uses to factor f_{n+1}, so they
+never read d_of_n.  `recurrence` and `equivalence` read `_d_and_delta`, and
+`delta` reads `delta_via_gcd`: both build the unreduced f_{n+1} as
+A(y) + x B(y), y = x^2 + x.  d comes from gcd(A, B), which rests on that basis
+and on no doubling identity of d, and delta from whether A and B have the same
+y-adic valuation, with no Euclid and not from the mod-3 closed form.
 
 Two kinds of report share one type.  A conjecture check (scope None) keeps
 every case and renders as a per-case table.  A range sweep sets scope to a

@@ -24,7 +24,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 # command -> {argument: largest accepted value}.  At grid side 2000 oracle
-# takes 1.1-1.3 s and 26 MiB, solve 1.1-1.5 s and 33 MiB, and side 1983
+# takes 0.24-0.39 s and 19 MiB, solve 0.28-0.42 s and 34 MiB, and side 1983
 # (nullity 1280) no longer.  The 0.93 GiB of 2000 vectors of 2000^2 bits is the
 # library's kernel_basis(), which no command calls.
 # d's GCD runs in GF(2)[x^2 + x] at half the degree of

@@ -9,13 +9,14 @@ The matrix is block-tridiagonal, so the last-row presses decide every other
 row: the row above row r must press exactly the lights that rows r and r+1
 leave on in row r.  Chasing the lights up leaves a residue above the first
 row that depends linearly on the last-row presses, through an n x n matrix
-M = f_{n+1}(B), where B = A_path + I acts on one row.  So
-nullity(A + I) = nullity(M), and every question about A + I is one
-elimination on M plus chases.  M is a polynomial in the symmetric B, so it is
-symmetric: rows of M that sum to zero name a kernel vector of M, and rows that
-sum to a residue name last-row presses that leave it.  Forward elimination
-alone therefore finds both.  No Fibonacci polynomial is built here, so this
-route to d_n is independent of the GCD route.
+M = f_{n+1}(B), where B = A_path + I, the line operator L = t + 1 + 1/t folded
+at mirrors -1 and n, acts on one row.  So nullity(A + I) = nullity(M), and
+every question about A + I is one elimination on M plus chases.  M is a
+polynomial in the symmetric B, so it is symmetric: rows of M that sum to zero
+name a kernel vector of M, and rows that sum to a residue name last-row
+presses that leave it.  Forward elimination alone finds both.  M comes from
+running f_{n+1}'s recurrence at L, with no polygf2 kernel, GCD, doubling
+ladder or y-basis, so this route to d_n is independent of the GCD route.
 """
 
 from __future__ import annotations
@@ -158,11 +159,10 @@ class GridSystem:
     Every chase starts from the last row, so a kernel vector of A + I is
     fixed by its last row, and the kernel of M is those last rows.  The
     constructor eliminates M once, takes its kernel from the rows that reduce
-    to zero, and reduces it to echelon form, pivoting on each last row's
-    highest set bit.  The pivots are the free cells: the columns left
-    without a pivot when A + I is eliminated on lowest set bits.  Nothing
-    changes after the constructor, so one instance is safe to share across
-    threads.
+    to zero, and reduces it to echelon form on each last row's highest set
+    bit.  The pivots are the free cells: the columns left without a pivot
+    when A + I is eliminated on lowest set bits.  Nothing changes after the
+    constructor, so one instance is safe to share across threads.
     """
 
     def __init__(self, n: int):
@@ -176,13 +176,13 @@ class GridSystem:
         self._not_first = self._full ^ first_col
         self._not_last = self._full ^ (first_col << (n - 1))
 
-        # Bit-sliced chase: lane c (bits c*n .. c*n + n-1) masks the last-row
-        # presses whose parity presses cell c of the current row.  After n
-        # steps, lane c is row c of M.
-        prev, cur = 0, int("1" + ("0" * n + "1") * (n - 1), 2)
+        # Entry (i, j) of M sums w = f_{n+1}(L)e_0 at i - s for s = j and for j's images
+        # -2 - j and 2n - j in B's mirrors -1 and n.  Bit n + k of w holds position k.
+        prev, w = 0, 1 << n
         for _ in range(n):
-            prev, cur = cur, prev ^ cur ^ (cur << n & self._full) ^ (cur >> n)
-        self._pivots, null = _echelon(self._split(cur)[::-1], n)
+            prev, w = w, prev ^ w ^ w << 1 ^ w >> 1
+        rows = [(w >> n - j ^ w >> n + 2 + j ^ w << n - j) & self._row for j in range(n)]
+        self._pivots, null = _echelon(rows, n)
 
         # Kernel vectors of M, each the last row of a kernel vector of A + I.
         reduced: dict[int, int] = {}

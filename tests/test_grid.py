@@ -51,14 +51,19 @@ def test_matrix_is_symmetric():
 def test_residue_matrix_is_symmetric_and_zero_rows_span_its_kernel():
     # The solver rests on M = f_{n+1}(B) being symmetric: a combination of
     # M's rows that sums to zero is then a kernel vector of M.  Column j of M
-    # is the residue left by pressing last-row cell j on an empty board.
-    for n in range(1, 65):
+    # is the residue left by pressing last-row cell j on an empty board.  The
+    # constructor builds M from f_{n+1}'s recurrence instead.  Its pivot rows
+    # and kernel carry the augmentation that names the rows summed, so equal
+    # pivots and kernel mean it eliminated these same rows.
+    for n in [*range(1, 65), 89, 200, 513]:
         s = GridSystem(n)
         zeros = [0] * n
         cols = [s._chase(1 << j, zeros)[-1] for j in range(n)]
         rows = [sum((c >> i & 1) << j for j, c in enumerate(cols)) for i in range(n)]
         assert rows == cols, f"n={n}"
-        _, null = _echelon(rows, n)
+        pivots, null = _echelon(rows, n)
+        assert s._pivots == pivots, f"n={n}"
+        assert [last for _, last in s._kernel] == null, f"n={n}"
         assert len(null) == s.nullity(), f"n={n}"
         for first in null:
             assert first != 0

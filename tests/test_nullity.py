@@ -141,9 +141,8 @@ def test_powers_conjecture_fails_at_57():
     assert _d_and_delta(3248) == (36, 2)
 
 
-@pytest.mark.slow
 def test_powers_counterexample_by_light_chasing():
-    # light chasing builds no polynomial
+    # light chasing runs f_{n+1}'s recurrence on one vector, with no GCD or ladder
     assert GridSystem(3248).nullity() == 36
 
 
@@ -227,9 +226,8 @@ def test_oracle_agreement_small(grid_cache):
         assert d_of_n(n) == grid_cache(n).nullity(), f"n={n}"
 
 
-@pytest.mark.slow
 def test_oracle_agreement_extended():
-    # light chasing builds no polynomial, so it checks the GCD route from
-    # outside; d_128 = 56, and 1457 = 2*3^6 - 1 has d = 2
+    # light chasing uses no polygf2 kernel, GCD, ladder or y-basis, so it checks
+    # the GCD route from outside; d_128 = 56, and 1457 = 2*3^6 - 1 has d = 2
     for n in [*range(1, 301), 511, 512, 1000, 1457, 2000]:
         assert d_of_n(n) == GridSystem(n).nullity(), f"n={n}"

@@ -158,11 +158,15 @@ class GridSystem:
 
     Every chase starts from the last row, so a kernel vector of A + I is
     fixed by its last row, and the kernel of M is those last rows.  The
-    constructor eliminates M once, takes its kernel from the rows that reduce
-    to zero, and reduces it to echelon form on each last row's highest set
-    bit.  The pivots are the free cells: the columns left without a pivot
-    when A + I is eliminated on lowest set bits.  Nothing changes after the
-    constructor, so one instance is safe to share across threads.
+    constructor eliminates M once and keeps, as elimination leaves them, the
+    augmentations of the rows that reduce to zero.  A row is reduced only by
+    earlier pivot rows, so by induction a pivot row's augmentation has bits
+    at pivot rows only, and the augmentation of null row v has v as its
+    highest bit and pivot rows below it.  So each kernel vector presses its
+    own free cell v and no other: the free cells are the null rows, the
+    columns left without a pivot when A + I is eliminated on lowest set bits.
+    Nothing changes after the constructor, so one instance is safe to share
+    across threads.
     """
 
     def __init__(self, n: int):
@@ -183,20 +187,9 @@ class GridSystem:
             prev, w = w, prev ^ w ^ w << 1 ^ w >> 1
         rows = [(w >> n - j ^ w >> n + 2 + j ^ w << n - j) & self._row for j in range(n)]
         self._pivots, null = _echelon(rows, n)
-
-        # Kernel vectors of M, each the last row of a kernel vector of A + I.
-        reduced: dict[int, int] = {}
-        for r in null:
-            while (p := r.bit_length() - 1) in reduced:
-                r ^= reduced[p]
-            reduced[p] = r
-        tops = sorted(reduced)
-        for i, p in enumerate(tops):
-            for q in tops[i + 1 :]:
-                if reduced[q] >> p & 1:
-                    reduced[q] ^= reduced[p]
-        # (free cell on the last row, last row of its kernel vector)
-        self._kernel = tuple((p, reduced[p]) for p in tops)
+        # Kernel vectors of M, each the last row of a kernel vector of A + I;
+        # the highest set bit of each is its free cell.
+        self._kernel = tuple(null)
 
     def _split(self, bits: int) -> list[int]:
         """Rows n-1 down to 0 of an n*n-bit int, through one binary string."""
@@ -244,7 +237,7 @@ class GridSystem:
         zeros = [0] * self.n
         return tuple(
             LightState(self.n, self._join(self._chase(last, zeros)[:-1]))
-            for _, last in self._kernel
+            for last in self._kernel
         )
 
     def apply(self, presses: LightState, state: LightState | None = None) -> LightState:
@@ -261,20 +254,18 @@ class GridSystem:
 
         A chase from no last-row presses leaves a residue c; last-row
         presses y with M y = c clear it, and reducing c against M's pivot
-        rows names them.  Adding the kernel vector of each free cell that y
-        presses leaves every free cell unpressed, so the answer is unique,
-        and one more chase gives it.  Every candidate is re-applied and
-        checked before being returned; a candidate that fails the check
-        certifies the state unsolvable, since a solvable c lies in the span
-        of M's rows and so reduces to zero.
+        rows names them.  y sums the augmentations of the pivot rows used,
+        which have bits at pivot rows only, so y never presses a free cell.
+        Any two answers differ by a kernel vector, which presses its own free
+        cell, so this answer is unique, and one more chase gives it.  Every
+        candidate is re-applied and checked before being returned; a
+        candidate that fails the check certifies the state unsolvable, since
+        a solvable c lies in the span of M's rows and so reduces to zero.
         """
         if state.n != self.n:
             raise ValueError("state side length does not match the system")
         board = self._split(state.bits)
         last = _reduce(self._pivots, self._chase(0, board)[-1], self.n) >> self.n
-        for p, kernel_last in self._kernel:
-            if last >> p & 1:
-                last ^= kernel_last
         presses = self._join(self._chase(last, board)[:-1])
         if self._toggle(presses) != state.bits:
             return None

@@ -54,7 +54,10 @@ def test_residue_matrix_is_symmetric_and_zero_rows_span_its_kernel():
     # is the residue left by pressing last-row cell j on an empty board.  The
     # constructor builds M from f_{n+1}'s recurrence instead.  Its pivot rows
     # and kernel carry the augmentation that names the rows summed, so equal
-    # pivots and kernel mean it eliminated these same rows.
+    # pivots and kernel mean it eliminated these same rows.  Rows are reduced
+    # only by earlier pivot rows, so a pivot augmentation names pivot rows
+    # only and null row v's augmentation has v as its highest bit: the free
+    # cells, and the kernel already in reduced form on them.
     for n in [*range(1, 65), 89, 200, 513]:
         s = GridSystem(n)
         zeros = [0] * n
@@ -63,8 +66,22 @@ def test_residue_matrix_is_symmetric_and_zero_rows_span_its_kernel():
         assert rows == cols, f"n={n}"
         pivots, null = _echelon(rows, n)
         assert s._pivots == pivots, f"n={n}"
-        assert [last for _, last in s._kernel] == null, f"n={n}"
+        assert list(s._kernel) == null, f"n={n}"
         assert len(null) == s.nullity(), f"n={n}"
+        # which rows depend on earlier rows is a property of M; find them by
+        # a separate elimination, pivoting on highest bits
+        null_rows, basis = [], {}
+        for v, r in enumerate(rows):
+            while r and (top := r.bit_length() - 1) in basis:
+                r ^= basis[top]
+            if r:
+                basis[top] = r
+            else:
+                null_rows.append(v)
+        null_mask = sum(1 << v for v in null_rows)
+        assert [a.bit_length() - 1 for a in null] == null_rows, f"n={n}"
+        assert all(a & null_mask == 1 << v for a, v in zip(null, null_rows)), f"n={n}"
+        assert all(piv >> n & null_mask == 0 for piv in s._pivots.values()), f"n={n}"
         for first in null:
             assert first != 0
             assert s._chase(first, zeros)[-1] == 0, f"n={n}"

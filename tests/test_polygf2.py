@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import math
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from fibgrid import (
     PolyGF2,
+    fib_hmp,
     gcd,
     ore_product_gcd,
     subst_x_plus_1,
@@ -281,6 +285,23 @@ def test_gcd_bits_matches_reference_euclid(p, q, r):
     for a, b in ((p.bits, q.bits), (_mul_bits(p.bits, r.bits), _mul_bits(q.bits, r.bits))):
         assert _gcd_bits(a, b) == reference_gcd(a, b)
         assert _gcd_bits(b, a) == reference_gcd(a, b)
+
+
+def test_gcd_bits_on_fibonacci_pairs_past_60000_bits():
+    # gcd(f_m, f_n) = f_gcd(m, n), with both operands past 60,000 bits,
+    # where the hypothesis strategies above do not reach
+    for m, n in ((65535, 65025), (70070, 69300)):
+        a, b = fib_hmp(m).bits, fib_hmp(n).bits
+        assert _gcd_bits(a, b) == fib_hmp(math.gcd(m, n)).bits, (m, n)
+
+
+def test_subst_bits_past_3000_bits_matches_lucas():
+    # (x+1)^i has bit j set exactly when j is a submask of i (Lucas)
+    for i in (3001, 5000, 8191, 65535, 100000):
+        want = int("".join("1" if i & j == j else "0" for j in range(i, -1, -1)), 2)
+        assert _subst_bits(1 << i) == want, i
+    z = random.Random(20000).getrandbits(20000) | 1 << 19999
+    assert _subst_bits(_subst_bits(z)) == z
 
 
 @given(polys)

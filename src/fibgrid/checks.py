@@ -185,7 +185,15 @@ def oracle(*, nmax: int = 64) -> list[Report]:
 
 
 def all2(*, kmax: int = 8) -> list[Report]:
-    """d at n = 2*3^k - 1 should always be 2; tested for k = 1..kmax."""
+    """d at n = 2*3^k - 1 should always be 2; tested for k = 1..kmax.
+
+    d_of_n runs no Euclid here: n + 1 = 2 * 3^k has odd part 3^k, and 2 is a
+    primitive root mod 9, hence mod every 3^k, so _gcd_is_trivial proves
+    gcd(h, h(x+1)) = 1 and d = 2 for every k.  The independent checks are
+    `equivalence`, which takes d_{2*3^k - 1} by Euclid on the unreduced
+    f_{n+1} (k <= 8 by default), and `oracle`, by light chasing (n = 5, 17
+    and 53 under its default nmax).
+    """
     _require("kmax", kmax)
     cases = []
     power = 1

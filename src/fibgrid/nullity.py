@@ -13,10 +13,13 @@ y = x^2 + x, as f_m = A_m(y) + x B_m(y), and never in x: _y_pair runs the
 doubling ladder on (A, B) pairs, and table streams them by the defining
 recurrence.  y is fixed by x -> x+1, so for p = A(y) + x B(y),
 deg gcd(p(x), p(x+1)) = 2 deg gcd(A, B), one Euclid at half the degree of
-p (_gcd_degree).  d_of_n takes it on a factor of f_{n+1} at half the degree
-of its odd part.  _d_and_delta takes it on the unreduced f_{n+1}; it is the
-reference that the identity sweeps (recurrence, equivalence) read, because
-d_of_n's factoring rests on those same identities and the basis does not.
+p (_gcd_degree).  d_of_n takes it on a factor h of f_{n+1} at half the degree
+of its odd part b, and skips it where number theory settles the GCD
+(_gcd_is_trivial): b a prime power p^k with 2 generating (Z/b)*/{+-1} and
+p = 3 (mod 4) or k = 1, which covers every b = 3^k.  _d_and_delta takes it
+on the unreduced f_{n+1}, always by Euclid; it is the reference that the
+identity sweeps (recurrence, equivalence) read, because d_of_n's factoring
+rests on those same identities and the basis does not.
 delta_n needs no Euclid: it is read off the y-adic valuations of A and B
 (_valuation_delta), by delta_via_gcd and _d_and_delta alike.
 """
@@ -74,10 +77,68 @@ def _y_pair(m: int) -> tuple[int, int, int, int]:
     return a0, b0, a1, b1
 
 
+def _prime_factors(m: int) -> list[int]:
+    """The distinct primes dividing m >= 1, by trial division."""
+    primes = []
+    q = 2
+    while q * q <= m:
+        if m % q == 0:
+            primes.append(q)
+            while m % q == 0:
+                m //= q
+        q += 1 if q == 2 else 2
+    return primes + [m] if m > 1 else primes
+
+
+def _gcd_is_trivial(b: int) -> bool:
+    """Whether number theory settles D(b) = deg gcd(h, h(x+1)) for odd b without Euclid.
+
+    Here h = f_m + f_{m+1}, m = (b-1)/2.  True when b = p^k is a prime
+    power, 2 generates (Z/b)*/{+-1}, and p = 3 (mod 4) or k = 1.  Then
+    gcd(h, h(x+1)) = 1 unless h(x+1) = h, which for h = A(y) + x B(y) is
+    B = 0; so with B != 0, D(b) = 0.
+
+    For a primitive b-th root of unity z, the roots of h are z^j + z^-j,
+    0 < j < b/2, and they are distinct, so h is the product over i = 1..k
+    of Psi_{p^i}, whose roots are those of order exactly p^i.  Frobenius
+    maps the root z^j + z^-j to z^2j + z^-2j, so it acts as *2 on
+    (Z/p^i)*/{+-1}.  That group is a quotient of (Z/b)*/{+-1}, so if 2
+    generates the one it generates the other: each Psi_{p^i} is irreducible,
+    of degree p^(i-1) (p-1)/2, and no two of these degrees are equal.  If an
+    irreducible t divides gcd(h, h(x+1)), then t(x+1) divides h with t's
+    degree, so t(x+1) = t; r -> r+1 then pairs off t's roots, none of them
+    fixed, and deg t is even.  For p = 3 (mod 4) every degree is odd, so the
+    GCD is 1.  For k = 1, h is irreducible and h(x+1) has its degree, so the
+    GCD is 1 unless h(x+1) = h.  For p = 1 (mod 4) and k > 1 the lower
+    factors can be fixed: at b = 25, Psi_5 = y + 1 and D(25) = 2.
+
+    2 generates the cyclic group (Z/b)*/{+-1} of order half = phi(b)/2
+    exactly when 2^(half/q) is not +-1 mod b for each prime q dividing half.
+    """
+    primes = _prime_factors(b)
+    if len(primes) != 1:
+        return False
+    p = primes[0]
+    if p % 4 == 1 and b != p:
+        return False
+    half = (b - b // p) // 2
+    return all(pow(2, half // q, b) not in (1, b - 1) for q in _prime_factors(half))
+
+
+def _h_gcd_degree(b: int, a: int, c: int) -> int:
+    """D(b) from the y-parts a = A and c = B of h = f_m + f_{m+1} = A(y) + x B(y), m = (b-1)/2.
+
+    Euclid runs only where _gcd_is_trivial cannot settle it.
+    """
+    if c and _gcd_is_trivial(b):
+        return 0
+    return _gcd_degree(a, c)
+
+
 def _odd_gcd_degree(b: int) -> int:
     """deg gcd(h, h(x+1)) for odd b, where h = f_m + f_{m+1} and m = (b-1)/2."""
     a0, b0, a1, b1 = _y_pair(b >> 1)
-    return _gcd_degree(a0 ^ a1, b0 ^ b1)
+    return _h_gcd_degree(b, a0 ^ a1, b0 ^ b1)
 
 
 def _d_from(n: int, odd_gcd_degree: Callable[[int], int]) -> int:
@@ -98,7 +159,9 @@ def d_of_n(n: int) -> int:
     so the GCD is gcd(h, h(x+1))^(2^(k+1)) times (x^2 + x)^(2^k - 1) when
     3 | b.  The ladder builds h as A(y) + x B(y), y = x^2 + x (_y_pair), and
     its degree is twice that of gcd(A, B), a Euclid at half the degree of h
-    (_gcd_degree).
+    (_gcd_degree).  That Euclid is skipped when _gcd_is_trivial(b) and B != 0:
+    then the GCD is 1.  This holds for every b = 3^k, since 2 is a primitive
+    root mod 9 and hence mod every 3^k, so d_{2*3^k - 1} = 2 for every k.
     """
     _require_side(n)
     return _d_from(n, _odd_gcd_degree)
@@ -160,8 +223,8 @@ def table(n_max: int) -> list[NullityRecord]:
     _require_side(n_max)
     degrees = []  # degrees[m]: deg gcd(h, h(x+1)) for the odd part 2m + 1
     a0, b0, a1, b1 = 0, 0, 1, 0  # y-parts of f_m and f_{m+1}, from m = 0
-    for _ in range(n_max // 2 + 1):
-        degrees.append(_gcd_degree(a0 ^ a1, b0 ^ b1))
+    for m in range(n_max // 2 + 1):
+        degrees.append(_h_gcd_degree(2 * m + 1, a0 ^ a1, b0 ^ b1))
         a0, b0, a1, b1 = a1, b1, (b1 << 1) ^ a0, a1 ^ b1 ^ b0
     return [
         NullityRecord(n, _d_from(n, lambda b: degrees[b >> 1]), delta_closed_form(n))

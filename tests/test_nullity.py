@@ -21,7 +21,7 @@ from fibgrid import (
     table,
 )
 from fibgrid.checks import all2, powers, recurrence
-from fibgrid.nullity import _d_and_delta, _gcd_degree, _y_pair
+from fibgrid.nullity import _d_and_delta, _gcd_degree, _gcd_is_trivial, _y_pair
 from fibgrid.polygf2 import _mul_bits
 from ybasis import join
 
@@ -103,6 +103,45 @@ def test_table_shares_gcds_without_changing_rows():
     assert table(3000) == [
         NullityRecord(n, d_of_n(n), delta_closed_form(n)) for n in range(1, 3001)
     ]
+
+
+def _smallest_prime_factor(b: int) -> int:
+    return next(q for q in range(3, b + 1, 2) if b % q == 0)
+
+
+def _h_parts(b: int) -> tuple[int, int]:
+    # y-parts A, B of h = f_m + f_{m+1}, m = (b - 1)/2
+    a0, b0, a1, b1 = _y_pair(b >> 1)
+    return a0 ^ a1, b0 ^ b1
+
+
+def test_trivial_gcd_predicate_agrees_with_euclid():
+    # where the predicate fires, D(b) is 0 unless B = 0, when it is deg A's double
+    fired = []
+    for b in range(3, 10_002, 2):
+        if _gcd_is_trivial(b):
+            a, c = _h_parts(b)
+            assert _gcd_degree(a, c) == (0 if c else _gcd_degree(a, 0)), f"b={b}"
+            fired.append(b)
+    primes = [b for b in fired if _smallest_prime_factor(b) == b]
+    powers_3_mod_4 = [b for b in fired if _smallest_prime_factor(b) % 4 == 3 and b not in primes]
+    assert any(p % 4 == 1 for p in primes)
+    assert 9 in powers_3_mod_4 and 7**4 in powers_3_mod_4
+    # 25: Psi_5 = y + 1 is fixed by x -> x+1, so D(25) = 2 although 2
+    # generates mod 25; composites with e(L) > 0; and 1093^2: 1093 is a
+    # Wieferich prime, so 2 does not generate mod 1093^2 (d_1194648 = 0
+    # still comes from Euclid)
+    for b in (25, 63, 171, 585, 1025, 1093**2):
+        assert not _gcd_is_trivial(b), f"b={b}"
+
+
+@pytest.mark.slow
+def test_trivial_gcd_predicate_at_large_prime_powers():
+    # p = 3 (mod 4) with 2 generating mod p^k: no Euclid, and Euclid agrees
+    for b in (3**12, 7**6, 11**5, 19**4, 23**4, 47**3):
+        assert _gcd_is_trivial(b), f"b={b}"
+        a, c = _h_parts(b)
+        assert c and _gcd_degree(a, c) == 0, f"b={b}"
 
 
 @pytest.mark.slow

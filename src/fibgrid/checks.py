@@ -187,12 +187,12 @@ def oracle(*, nmax: int = 64) -> list[Report]:
 def all2(*, kmax: int = 8) -> list[Report]:
     """d at n = 2*3^k - 1 should always be 2; tested for k = 1..kmax.
 
-    d_of_n runs no Euclid here: n + 1 = 2 * 3^k has odd part 3^k, and 2 is a
-    primitive root mod 9, hence mod every 3^k, so _gcd_is_trivial proves
-    gcd(h, h(x+1)) = 1 and d = 2 for every k.  The independent checks are
-    `equivalence`, which takes d_{2*3^k - 1} by Euclid on the unreduced
-    f_{n+1} (k <= 8 by default), and `oracle`, by light chasing (n = 5, 17
-    and 53 under its default nmax).
+    d_of_n runs no Euclid here: n + 1 = 2 * 3^k has odd part 3^k, which
+    _reduce_odd_part takes down to 3 with the same GCD degree, and there
+    _gcd_is_trivial proves gcd(h, h(x+1)) = 1, so d = 2 for every k.  The
+    independent checks are `equivalence`, which takes d_{2*3^k - 1} by Euclid
+    on the unreduced f_{n+1} (k <= 8 by default), and `oracle`, by light
+    chasing (n = 5, 17 and 53 under its default nmax).
     """
     _require("kmax", kmax)
     cases = []
@@ -213,6 +213,14 @@ def powers(*, amax: int = 51, kmax: int = 17, degree_cap: int = 200_000) -> list
     The conjecture as stated is false: at a = 57, d(56) = 0 but
     d(3248) = 36, so amax >= 57 with kmax >= 2 and degree_cap >= 3249
     reports a failing case.  The default amax of 51 stops below it.
+
+    d_of_n runs Euclid for most a^k on h for a small odd part: while p^2
+    divides a^k and the order of 2 grows by p from a^k/p, _reduce_odd_part
+    divides by p.  So a^k = 57^2 reaches 171, and every power of a prime a
+    reaches a unless 2^(a-1) = 1 mod a^2, as for a = 1093.  The independent
+    checks are `oracle`, by light chasing, and a Tier-1 test that takes
+    d(a^k - 1) by Euclid on the unreduced f_{a^k} wherever the reduction
+    applies, for a^k <= 100,000.
     """
     _require("amax", amax, 3)
     _require("kmax", kmax)

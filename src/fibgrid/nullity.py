@@ -14,18 +14,21 @@ doubling ladder on (A, B) pairs, and table streams them by the defining
 recurrence.  y is fixed by x -> x+1, so for p = A(y) + x B(y),
 deg gcd(p(x), p(x+1)) = 2 deg gcd(A, B), one Euclid at half the degree of
 p (_gcd_degree).  d_of_n takes it on a factor h of f_{n+1} at half the degree
-of its odd part b, and skips it where number theory settles the GCD
-(_gcd_is_trivial): b a prime power p^k with 2 generating (Z/b)*/{+-1} and
-p = 3 (mod 4) or k = 1, which covers every b = 3^k.  _d_and_delta takes it
-on the unreduced f_{n+1}, always by Euclid; it is the reference that the
-identity sweeps (recurrence, equivalence) read, because d_of_n's factoring
-rests on those same identities and the basis does not.
+of the odd part b of n + 1, after two number-theory steps: it first divides b
+by each prime p with p^2 | b while ord_b(2) = p ord_{b/p}(2), which keeps the
+GCD's degree (_reduce_odd_part), and skips Euclid when the b it reaches is a
+prime with 2 generating (Z/b)*/{+-1} (_gcd_is_trivial).  The first takes
+every power of a prime p to p, unless 2^(p-1) = 1 mod p^2 as for p = 1093.
+_d_and_delta takes it on the unreduced f_{n+1}, always by Euclid; it is the
+reference that the identity sweeps (recurrence, equivalence) read, because
+d_of_n's factoring rests on those same identities and the basis does not.
 delta_n needs no Euclid: it is read off the y-adic valuations of A and B
 (_valuation_delta), by delta_via_gcd and _d_and_delta alike.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from collections.abc import Callable, Iterable
 
@@ -77,9 +80,28 @@ def _y_pair(m: int) -> tuple[int, int, int, int]:
     return a0, b0, a1, b1
 
 
-def _prime_factors(m: int) -> list[int]:
-    """The distinct primes dividing m >= 1, by trial division."""
+def _smallest_prime_factors(limit: int) -> list[int]:
+    """spf with spf[m] the smallest prime dividing m, for 2 <= m <= limit."""
+    spf = list(range(limit + 1))
+    # q descends, so the last q to write m is m's smallest divisor >= 2, a prime;
+    # what a composite q writes, its smallest prime factor writes again later
+    for q in range(math.isqrt(limit), 1, -1):
+        spf[q * q :: q] = [q] * len(range(q * q, limit + 1, q))
+    return spf
+
+
+def _prime_factors(m: int, spf: list[int] | None = None) -> list[int]:
+    """The distinct primes dividing m >= 1, read off spf when given, else by trial division.
+
+    spf is a _smallest_prime_factors list that reaches m.
+    """
     primes = []
+    if spf is not None:
+        while m > 1:
+            primes.append(q := spf[m])
+            while m % q == 0:
+                m //= q
+        return primes
     q = 2
     while q * q <= m:
         if m % q == 0:
@@ -90,53 +112,96 @@ def _prime_factors(m: int) -> list[int]:
     return primes + [m] if m > 1 else primes
 
 
-def _gcd_is_trivial(b: int) -> bool:
-    """Whether number theory settles D(b) = deg gcd(h, h(x+1)) for odd b without Euclid.
+def _reduce_odd_part(b: int, spf: list[int] | None = None) -> int:
+    """An odd b* dividing odd b with D(b*) = D(b), where D(b) = deg gcd(h, h(x+1)) for h = h_b.
 
-    Here h = f_m + f_{m+1}, m = (b-1)/2.  True when b = p^k is a prime
-    power, 2 generates (Z/b)*/{+-1}, and p = 3 (mod 4) or k = 1.  Then
-    gcd(h, h(x+1)) = 1 unless h(x+1) = h, which for h = A(y) + x B(y) is
-    B = 0; so with B != 0, D(b) = 0.
+    Here h_b = f_m + f_{m+1}, m = (b-1)/2.  While some prime p has p^2 | b
+    and ord_b(2) = p ord_{b/p}(2), b becomes b/p.  Once p^2 | b, the ratio
+    ord_b(2) / ord_{b/p}(2) is 1 or p, so with o = ord_b(2) the order grows
+    exactly when p | o and 2^(o/p) = 1 mod b/p, and then b/p has order o/p.
+    Every prime of b keeps one factor, so 3 | b* exactly when 3 | b.  Whether
+    the order grows at p depends only on p's exponent and on which primes
+    divide b, since v_p(ord_c(2)) below is the largest v_p(ord_q(2)) over the
+    primes q of c; so one pass, dividing each prime while its order grows,
+    leaves no prime that applies.
 
-    For a primitive b-th root of unity z, the roots of h are z^j + z^-j,
-    0 < j < b/2, and they are distinct, so h is the product over i = 1..k
-    of Psi_{p^i}, whose roots are those of order exactly p^i.  Frobenius
-    maps the root z^j + z^-j to z^2j + z^-2j, so it acts as *2 on
-    (Z/p^i)*/{+-1}.  That group is a quotient of (Z/b)*/{+-1}, so if 2
-    generates the one it generates the other: each Psi_{p^i} is irreducible,
-    of degree p^(i-1) (p-1)/2, and no two of these degrees are equal.  If an
-    irreducible t divides gcd(h, h(x+1)), then t(x+1) divides h with t's
-    degree, so t(x+1) = t; r -> r+1 then pairs off t's roots, none of them
-    fixed, and deg t is even.  For p = 3 (mod 4) every degree is odd, so the
-    GCD is 1.  For k = 1, h is irreducible and h(x+1) has its degree, so the
-    GCD is 1 unless h(x+1) = h.  For p = 1 (mod 4) and k > 1 the lower
-    factors can be fixed: at b = 25, Psi_5 = y + 1 and D(25) = 2.
-
-    2 generates the cyclic group (Z/b)*/{+-1} of order half = phi(b)/2
-    exactly when 2^(half/q) is not +-1 mod b for each prime q dividing half.
+    Proof that D(b/p) = D(b).  The roots of h_b are z + 1/z for z != 1 with
+    z^b = 1, and they are distinct, so D(b) counts the roots a of h_b for which
+    a + 1 is also a root, and every root counted at b/p is counted at b.  Take
+    a root counted at b but not at b/p: a = z + 1/z and a + 1 = w + 1/w, and
+    M = lcm(ord z, ord w), which divides b but not b/p, so v_p(M) = v_p(b) = e
+    with e >= 2.  Write b = p^e c and M = p^e s, with s | c and p not dividing
+    c.  ord_{p^e}(2) and ord_{p^(e-1)}(2) have the same p-free part, so the
+    order grows from b/p to b exactly when v_p(ord_{p^e}(2)) exceeds both
+    v_p(ord_{p^(e-1)}(2)) and v_p(ord_c(2)); ord_s(2) divides ord_c(2), so it
+    grows from M/p to M as well.  Let t be a primitive M-th root of unity,
+    z = t^u and w = t^v.  In characteristic 2, a + (a + 1) + 1 = 0, so t is a
+    root of Q = 1 + X^u + X^-u + X^v + X^-v, whose five exponents are distinct
+    mod M: u and v are nonzero, u is not +-v because a != a + 1, and M is odd.
+    t has degree ord_M(2) = p ord_{M/p}(2), so its minimal polynomial is
+    g(X^p), with g that of t^p.  Read Q's exponents mod M, which p divides;
+    g(X^p) divides Q, so it divides each part X^i Q_i(X^p) of
+    Q = sum_{i<p} X^i Q_i(X^p), and each Q_i vanishes at t^p.  A part with
+    one term cannot vanish, nor one with two, since t^p has order M/p.  So
+    all five exponents lie in one class mod p, the class of 0: p divides u
+    and v, and z and w have orders dividing M/p, against the choice of M.
     """
-    primes = _prime_factors(b)
-    if len(primes) != 1:
-        return False
-    p = primes[0]
-    if p % 4 == 1 and b != p:
-        return False
-    half = (b - b // p) // 2
-    return all(pow(2, half // q, b) not in (1, b - 1) for q in _prime_factors(half))
+    primes = _prime_factors(b, spf)
+    if all(b % (p * p) for p in primes):
+        return b
+    order = b
+    for p in primes:
+        order -= order // p  # phi(b)
+    for q in _prime_factors(order, spf):
+        while order % q == 0 and pow(2, order // q, b) == 1:
+            order //= q
+    for p in primes:
+        while b % (p * p) == 0 and order % p == 0 and pow(2, order // p, b // p) == 1:
+            b //= p
+            order //= p
+    return b
 
 
-def _h_gcd_degree(b: int, a: int, c: int) -> int:
+def _gcd_is_trivial(b: int, spf: list[int] | None = None) -> bool:
+    """Whether b is prime and 2 generates (Z/b)*/{+-1}, so that D(b) = 0 when B != 0.
+
+    Here D(b) = deg gcd(h, h(x+1)) for h = f_m + f_{m+1} = A(y) + x B(y),
+    m = (b-1)/2.  For a primitive b-th root of unity z, the roots of h are
+    z^j + z^-j, 0 < j < b/2.  Frobenius maps z^j + z^-j to z^2j + z^-2j, so it
+    acts as *2 on (Z/b)*/{+-1}; when 2 generates that group, h is
+    irreducible.  h(x+1) is irreducible of the same degree, so the GCD is 1
+    unless h(x+1) = h, which for h = A(y) + x B(y) is B = 0.
+
+    2 generates that cyclic group, of order half = (b-1)/2, exactly when
+    2^(half/q) is not +-1 mod b for each prime q dividing half.
+
+    _reduce_odd_part leaves a prime power p^k, k >= 2, only where
+    ord_{p^k}(2) = ord_{p^(k-1)}(2), which divides phi(b)/p; then 2 cannot
+    generate (Z/b)*/{+-1}, of order phi(b)/2, so primes are the only b where
+    this argument applies.
+    """
+    if _prime_factors(b, spf) != [b]:
+        return False
+    half = (b - 1) // 2
+    return all(pow(2, half // q, b) not in (1, b - 1) for q in _prime_factors(half, spf))
+
+
+def _h_gcd_degree(b: int, a: int, c: int, spf: list[int] | None = None) -> int:
     """D(b) from the y-parts a = A and c = B of h = f_m + f_{m+1} = A(y) + x B(y), m = (b-1)/2.
 
     Euclid runs only where _gcd_is_trivial cannot settle it.
     """
-    if c and _gcd_is_trivial(b):
+    if c and _gcd_is_trivial(b, spf):
         return 0
     return _gcd_degree(a, c)
 
 
 def _odd_gcd_degree(b: int) -> int:
-    """deg gcd(h, h(x+1)) for odd b, where h = f_m + f_{m+1} and m = (b-1)/2."""
+    """deg gcd(h, h(x+1)) for odd b, where h = f_m + f_{m+1} and m = (b-1)/2.
+
+    Computed on the h of _reduce_odd_part(b), which has the same GCD degree.
+    """
+    b = _reduce_odd_part(b)
     a0, b0, a1, b1 = _y_pair(b >> 1)
     return _h_gcd_degree(b, a0 ^ a1, b0 ^ b1)
 
@@ -159,9 +224,11 @@ def d_of_n(n: int) -> int:
     so the GCD is gcd(h, h(x+1))^(2^(k+1)) times (x^2 + x)^(2^k - 1) when
     3 | b.  The ladder builds h as A(y) + x B(y), y = x^2 + x (_y_pair), and
     its degree is twice that of gcd(A, B), a Euclid at half the degree of h
-    (_gcd_degree).  That Euclid is skipped when _gcd_is_trivial(b) and B != 0:
-    then the GCD is 1.  This holds for every b = 3^k, since 2 is a primitive
-    root mod 9 and hence mod every 3^k, so d_{2*3^k - 1} = 2 for every k.
+    (_gcd_degree).  All of this runs on h for _reduce_odd_part(b), which has
+    the same GCD degree, so the cost follows that reduced part and not b;
+    Euclid is skipped when that part b* satisfies _gcd_is_trivial(b*) and
+    B != 0, for then the GCD is 1.  Every b = 3^k reduces to 3, so
+    d_{2*3^k - 1} = 2 for every k.
     """
     _require_side(n)
     return _d_from(n, _odd_gcd_degree)
@@ -215,16 +282,24 @@ def table(n_max: int) -> list[NullityRecord]:
     """Records for every n in 1..n_max, in order.
 
     Rows whose n + 1 share an odd part 2m + 1 share one GCD, on h = f_m +
-    f_{m+1}, where d_of_n runs the ladder.  The recurrence streams the same
-    y-parts f_m = A_m(y) + x B_m(y) as _y_pair: x^2 = x + y turns
+    f_{m+1}, where d_of_n runs the ladder.  An odd part that _reduce_odd_part
+    lowers reads the degree of the smaller part it reaches and runs no Euclid;
+    it and _gcd_is_trivial read their primes from one smallest-prime-factor
+    list up to n_max + 1.  The recurrence streams the same y-parts
+    f_m = A_m(y) + x B_m(y) as _y_pair: x^2 = x + y turns
     f_{m+1} = x f_m + f_{m-1} into A_{m+1} = y B_m + A_{m-1} and
     B_{m+1} = A_m + B_m + B_{m-1}.
     """
     _require_side(n_max)
+    spf = _smallest_prime_factors(n_max + 1)
     degrees = []  # degrees[m]: deg gcd(h, h(x+1)) for the odd part 2m + 1
     a0, b0, a1, b1 = 0, 0, 1, 0  # y-parts of f_m and f_{m+1}, from m = 0
     for m in range(n_max // 2 + 1):
-        degrees.append(_h_gcd_degree(2 * m + 1, a0 ^ a1, b0 ^ b1))
+        b = _reduce_odd_part(2 * m + 1, spf)
+        if b < 2 * m + 1:
+            degrees.append(degrees[b >> 1])
+        else:
+            degrees.append(_h_gcd_degree(b, a0 ^ a1, b0 ^ b1, spf))
         a0, b0, a1, b1 = a1, b1, (b1 << 1) ^ a0, a1 ^ b1 ^ b0
     return [
         NullityRecord(n, _d_from(n, lambda b: degrees[b >> 1]), delta_closed_form(n))

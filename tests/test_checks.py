@@ -49,17 +49,24 @@ def test_empty_ranges_are_refused(name, bounds):
 
 
 def test_identity_sweeps_never_read_the_factored_route(monkeypatch):
-    # d_of_n reduces its GCD with the identities these sweeps check, and skips
-    # Euclid where _gcd_is_trivial says so; the sweeps' routes do neither
+    # d_of_n reduces its GCD with the identities these sweeps check, reduces
+    # the odd part by _reduce_odd_part and skips Euclid where _gcd_is_trivial
+    # says so; the sweeps' routes do none of these
     def refuse(n):
         raise AssertionError("identity sweep read d_of_n")
 
-    def refuse_shortcut(b):
+    def refuse_shortcut(b, spf=None):
         raise AssertionError("identity sweep read _gcd_is_trivial")
+
+    def refuse_reduction(b, spf=None):
+        raise AssertionError("identity sweep read _reduce_odd_part")
 
     monkeypatch.setattr(checks, "d_of_n", refuse)
     monkeypatch.setattr(nullity, "_gcd_is_trivial", refuse_shortcut)
     with pytest.raises(AssertionError, match="_gcd_is_trivial"):
+        nullity.d_of_n(8)
+    monkeypatch.setattr(nullity, "_reduce_odd_part", refuse_reduction)
+    with pytest.raises(AssertionError, match="_reduce_odd_part"):
         nullity.d_of_n(8)
     reports = [*checks.recurrence(nmax=40), *checks.delta(nmax=40), *checks.equivalence(kmax=3)]
     assert all(r.overall == "pass" for r in reports)

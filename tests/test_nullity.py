@@ -21,7 +21,14 @@ from fibgrid import (
     table,
 )
 from fibgrid.checks import all2, powers, recurrence
-from fibgrid.nullity import _d_and_delta, _gcd_degree, _gcd_is_trivial, _y_pair
+from fibgrid.nullity import (
+    _d_and_delta,
+    _gcd_degree,
+    _gcd_is_trivial,
+    _reduce_odd_part,
+    _smallest_prime_factors,
+    _y_pair,
+)
 from fibgrid.polygf2 import _mul_bits
 from ybasis import join
 
@@ -116,32 +123,83 @@ def _h_parts(b: int) -> tuple[int, int]:
 
 
 def test_trivial_gcd_predicate_agrees_with_euclid():
-    # where the predicate fires, D(b) is 0 unless B = 0, when it is deg A's double
+    # through the reduction: where the predicate fires on b* = _reduce_odd_part(b),
+    # D(b) is 0 unless b*'s B = 0, when it is deg A's double for b*'s A
     fired = []
     for b in range(3, 10_002, 2):
-        if _gcd_is_trivial(b):
-            a, c = _h_parts(b)
-            assert _gcd_degree(a, c) == (0 if c else _gcd_degree(a, 0)), f"b={b}"
+        reduced = _reduce_odd_part(b)
+        if _gcd_is_trivial(reduced):
+            a, c = _h_parts(reduced)
+            assert _gcd_degree(*_h_parts(b)) == (0 if c else _gcd_degree(a, 0)), f"b={b}"
             fired.append(b)
     primes = [b for b in fired if _smallest_prime_factor(b) == b]
     powers_3_mod_4 = [b for b in fired if _smallest_prime_factor(b) % 4 == 3 and b not in primes]
     assert any(p % 4 == 1 for p in primes)
     assert 9 in powers_3_mod_4 and 7**4 in powers_3_mod_4
-    # 25: Psi_5 = y + 1 is fixed by x -> x+1, so D(25) = 2 although 2
-    # generates mod 25; composites with e(L) > 0; and 1093^2: 1093 is a
-    # Wieferich prime, so 2 does not generate mod 1093^2 (d_1194648 = 0
-    # still comes from Euclid)
+    # 25 reduces to 5, where Psi_5 = y + 1 is fixed by x -> x+1: B = 0 and
+    # D(25) = D(5) = 2.  The predicate itself fires on primes only, so it
+    # refuses 25, the composites with e(L) > 0, and 1093^2: 1093 is a
+    # Wieferich prime, so 1093^2 does not reduce (d_1194648 = 0 still comes
+    # from Euclid)
+    assert 25 in fired
     for b in (25, 63, 171, 585, 1025, 1093**2):
         assert not _gcd_is_trivial(b), f"b={b}"
 
 
 @pytest.mark.slow
 def test_trivial_gcd_predicate_at_large_prime_powers():
-    # p = 3 (mod 4) with 2 generating mod p^k: no Euclid, and Euclid agrees
+    # p^k reduces to p, where 2 generates (Z/p)*/{+-1}: no Euclid, and Euclid
+    # on h for p^k agrees
     for b in (3**12, 7**6, 11**5, 19**4, 23**4, 47**3):
-        assert _gcd_is_trivial(b), f"b={b}"
+        reduced = _reduce_odd_part(b)
+        assert _gcd_is_trivial(reduced) and _h_parts(reduced)[1], f"b={b}"
         a, c = _h_parts(b)
         assert c and _gcd_degree(a, c) == 0, f"b={b}"
+
+
+def _check_reduction(bmax: int) -> dict[int, int]:
+    # every odd b <= bmax that the reduction lowers keeps its GCD degree, and
+    # the sieved primes reduce it as trial division does
+    spf = _smallest_prime_factors(bmax)
+    reduced = {}
+    for b in range(3, bmax + 1, 2):
+        r = _reduce_odd_part(b)
+        assert _reduce_odd_part(b, spf) == r and _reduce_odd_part(r) == r, f"b={b}"
+        if r < b:
+            assert _gcd_degree(*_h_parts(b)) == _gcd_degree(*_h_parts(r)), f"b={b}"
+            reduced[b] = r
+    return reduced
+
+
+def test_reduction_keeps_the_gcd_degree():
+    reduced = _check_reduction(10_001)
+    assert len(reduced) == 715
+    assert reduced[3249] == 171  # 57^2: the powers counterexample's odd part
+    assert reduced[5**5] == 5 and reduced[3**8] == 3
+    assert _reduce_odd_part(91125) == 15  # 3^6 5^3
+    # where the order of 2 does not grow: the non-squarefree L with e(L) > 0,
+    # 117 and 275, and 1093^2
+    for b in (63, 117, 171, 275, 585, 1025, 1093**2):
+        assert _reduce_odd_part(b) == b, f"b={b}"
+
+
+@pytest.mark.slow
+def test_reduction_keeps_the_gcd_degree_to_30001():
+    assert len(_check_reduction(30_001)) == 2092
+
+
+def test_reduced_route_matches_unreduced_gcd_at_powers():
+    # d_of_n runs Euclid on h for the reduced odd part, far below a^k; the
+    # unreduced route runs it on the whole of f_{a^k}, past 6,000 bits, in
+    # the range of c06 up to a^k = 100,000
+    odd_parts = set()
+    for a in range(3, 52, 2):
+        if a % 21:
+            odd_parts.update(a**k for k in range(1, 11) if a**k <= 100_000)
+    checked = [b for b in sorted(odd_parts) if _reduce_odd_part(b) < b]
+    for b in checked:
+        assert d_of_n(b - 1) == _d_and_delta(b - 1)[0], f"n={b - 1}"
+    assert checked[-1] > 50_000
 
 
 @pytest.mark.slow

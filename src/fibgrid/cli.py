@@ -28,10 +28,10 @@ EXIT_USAGE = 2
 # (nullity 1280) no longer.  The 0.93 GiB of 2000 vectors of 2000^2 bits is the
 # library's kernel_basis(), which no command calls.
 # d's GCD runs in GF(2)[x^2 + x] at half the degree of
-# f_{n+1}'s odd part and is still quadratic, 5.2-5.7 s at 2,000,000 on a
+# f_{n+1}'s odd part and is still quadratic, 3.1-3.7 s at 2,000,000 on a
 # shared 2-core machine.  fib builds f_n by the linear ladder, but
 # --all-methods also runs the quadratic recurrence, about 25 s at 1,000,000.
-# table runs one GCD per odd part of n + 1, 15-17 s at 30,000.  A raster of ROWS rows
+# table runs one GCD per odd part of n + 1, 6.9-9.2 s at 30,000.  A raster of ROWS rows
 # prints 2*ROWS^2 characters, 32 MiB at 4096 (85 MiB process peak).  A verify sweep's
 # flag has the limit of the command building the same objects: fib for
 # hmp-gcd, oracle for oracle, d for all2 and equivalence (2*3^12 - 1 =

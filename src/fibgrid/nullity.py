@@ -14,11 +14,12 @@ doubling ladder on (A, B) pairs, and table streams them by the defining
 recurrence.  y is fixed by x -> x+1, so for p = A(y) + x B(y),
 deg gcd(p(x), p(x+1)) = 2 deg gcd(A, B), one Euclid at half the degree of
 p (_gcd_degree).  d_of_n takes it on a factor h of f_{n+1} at half the degree
-of the odd part b of n + 1, after two number-theory steps: it first divides b
-by each prime p with p^2 | b while ord_b(2) = p ord_{b/p}(2), which keeps the
-GCD's degree (_reduce_odd_part), and skips Euclid when the b it reaches is a
-prime with 2 generating (Z/b)*/{+-1} (_gcd_is_trivial).  The first takes
-every power of a prime p to p, unless 2^(p-1) = 1 mod p^2 as for p = 1093.
+of the odd part b of n + 1, after two number-theory steps on one trial
+division of b: it first divides b by each prime p with p^2 | b while
+ord_b(2) = p ord_{b/p}(2), which keeps the GCD's degree (_reduce_odd_part),
+and skips Euclid when the b it reaches is a prime with 2 generating
+(Z/b)*/{+-1} (_gcd_is_trivial).  The first takes every power of a prime p to
+p, unless 2^(p-1) = 1 mod p^2 as for p = 1093.
 _d_and_delta takes it on the unreduced f_{n+1}, always by Euclid; it is the
 reference that the identity sweeps (recurrence, equivalence) read, because
 d_of_n's factoring rests on those same identities and the basis does not.
@@ -28,7 +29,6 @@ delta_n needs no Euclid: it is read off the y-adic valuations of A and B
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from collections.abc import Callable, Iterable
 
@@ -80,50 +80,33 @@ def _y_pair(m: int) -> tuple[int, int, int, int]:
     return a0, b0, a1, b1
 
 
-def _smallest_prime_factors(limit: int) -> list[int]:
-    """spf with spf[m] the smallest prime dividing m, for 2 <= m <= limit."""
-    spf = list(range(limit + 1))
-    # q descends, so the last q to write m is m's smallest divisor >= 2, a prime;
-    # what a composite q writes, its smallest prime factor writes again later
-    for q in range(math.isqrt(limit), 1, -1):
-        spf[q * q :: q] = [q] * len(range(q * q, limit + 1, q))
-    return spf
-
-
-def _prime_factors(m: int, spf: list[int] | None = None) -> list[int]:
-    """The distinct primes dividing m >= 1, read off spf when given, else by trial division.
-
-    spf is a _smallest_prime_factors list that reaches m.
-    """
-    primes = []
-    if spf is not None:
-        while m > 1:
-            primes.append(q := spf[m])
-            while m % q == 0:
-                m //= q
-        return primes
-    q = 2
+def _prime_factors(m: int) -> list[int]:
+    """The distinct primes dividing m >= 1, by trial division."""
+    primes = [] if m & 1 else [2]
+    m //= m & -m  # the odd part
+    q = 3
     while q * q <= m:
         if m % q == 0:
             primes.append(q)
             while m % q == 0:
                 m //= q
-        q += 1 if q == 2 else 2
+        q += 2
     return primes + [m] if m > 1 else primes
 
 
-def _reduce_odd_part(b: int, spf: list[int] | None = None) -> int:
-    """An odd b* dividing odd b with D(b*) = D(b), where D(b) = deg gcd(h, h(x+1)) for h = h_b.
+def _reduce_odd_part(b: int) -> tuple[int, list[int]]:
+    """(b*, primes): an odd b* dividing odd b with D(b*) = D(b), and b's distinct primes.
 
-    Here h_b = f_m + f_{m+1}, m = (b-1)/2.  While some prime p has p^2 | b
-    and ord_b(2) = p ord_{b/p}(2), b becomes b/p.  Once p^2 | b, the ratio
-    ord_b(2) / ord_{b/p}(2) is 1 or p, so with o = ord_b(2) the order grows
-    exactly when p | o and 2^(o/p) = 1 mod b/p, and then b/p has order o/p.
-    Every prime of b keeps one factor, so 3 | b* exactly when 3 | b.  Whether
-    the order grows at p depends only on p's exponent and on which primes
-    divide b, since v_p(ord_c(2)) below is the largest v_p(ord_q(2)) over the
-    primes q of c; so one pass, dividing each prime while its order grows,
-    leaves no prime that applies.
+    D(b) = deg gcd(h, h(x+1)) for h = h_b = f_m + f_{m+1}, m = (b-1)/2.  While
+    some prime p has p^2 | b and ord_b(2) = p ord_{b/p}(2), b becomes b/p.
+    Once p^2 | b, the ratio ord_b(2) / ord_{b/p}(2) is 1 or p, so with
+    o = ord_b(2) the order grows exactly when p | o and 2^(o/p) = 1 mod b/p,
+    and then b/p has order o/p.  Every prime of b keeps one factor, so primes
+    are b*'s primes too, and 3 | b* exactly when 3 | b.  Whether the order
+    grows at p depends only on p's exponent and on which primes divide b,
+    since v_p(ord_c(2)) below is the largest v_p(ord_q(2)) over the primes q
+    of c; so one pass, dividing each prime while its order grows, leaves no
+    prime that applies.
 
     Proof that D(b/p) = D(b).  The roots of h_b are z + 1/z for z != 1 with
     z^b = 1, and they are distinct, so D(b) counts the roots a of h_b for which
@@ -146,25 +129,26 @@ def _reduce_odd_part(b: int, spf: list[int] | None = None) -> int:
     all five exponents lie in one class mod p, the class of 0: p divides u
     and v, and z and w have orders dividing M/p, against the choice of M.
     """
-    primes = _prime_factors(b, spf)
+    primes = _prime_factors(b)
     if all(b % (p * p) for p in primes):
-        return b
+        return b, primes
     order = b
     for p in primes:
         order -= order // p  # phi(b)
-    for q in _prime_factors(order, spf):
+    for q in _prime_factors(order):
         while order % q == 0 and pow(2, order // q, b) == 1:
             order //= q
     for p in primes:
         while b % (p * p) == 0 and order % p == 0 and pow(2, order // p, b // p) == 1:
             b //= p
             order //= p
-    return b
+    return b, primes
 
 
-def _gcd_is_trivial(b: int, spf: list[int] | None = None) -> bool:
+def _gcd_is_trivial(b: int, primes: list[int]) -> bool:
     """Whether b is prime and 2 generates (Z/b)*/{+-1}, so that D(b) = 0 when B != 0.
 
+    primes are b's distinct primes, so b is prime exactly when they are [b].
     Here D(b) = deg gcd(h, h(x+1)) for h = f_m + f_{m+1} = A(y) + x B(y),
     m = (b-1)/2.  For a primitive b-th root of unity z, the roots of h are
     z^j + z^-j, 0 < j < b/2.  Frobenius maps z^j + z^-j to z^2j + z^-2j, so it
@@ -180,18 +164,19 @@ def _gcd_is_trivial(b: int, spf: list[int] | None = None) -> bool:
     generate (Z/b)*/{+-1}, of order phi(b)/2, so primes are the only b where
     this argument applies.
     """
-    if _prime_factors(b, spf) != [b]:
+    if primes != [b]:
         return False
     half = (b - 1) // 2
-    return all(pow(2, half // q, b) not in (1, b - 1) for q in _prime_factors(half, spf))
+    return all(pow(2, half // q, b) not in (1, b - 1) for q in _prime_factors(half))
 
 
-def _h_gcd_degree(b: int, a: int, c: int, spf: list[int] | None = None) -> int:
+def _h_gcd_degree(b: int, primes: list[int], a: int, c: int) -> int:
     """D(b) from the y-parts a = A and c = B of h = f_m + f_{m+1} = A(y) + x B(y), m = (b-1)/2.
 
+    primes are b's, as _reduce_odd_part found them, so b is factored once.
     Euclid runs only where _gcd_is_trivial cannot settle it.
     """
-    if c and _gcd_is_trivial(b, spf):
+    if c and _gcd_is_trivial(b, primes):
         return 0
     return _gcd_degree(a, c)
 
@@ -201,9 +186,9 @@ def _odd_gcd_degree(b: int) -> int:
 
     Computed on the h of _reduce_odd_part(b), which has the same GCD degree.
     """
-    b = _reduce_odd_part(b)
+    b, primes = _reduce_odd_part(b)
     a0, b0, a1, b1 = _y_pair(b >> 1)
-    return _h_gcd_degree(b, a0 ^ a1, b0 ^ b1)
+    return _h_gcd_degree(b, primes, a0 ^ a1, b0 ^ b1)
 
 
 def _d_from(n: int, odd_gcd_degree: Callable[[int], int]) -> int:
@@ -284,22 +269,21 @@ def table(n_max: int) -> list[NullityRecord]:
     Rows whose n + 1 share an odd part 2m + 1 share one GCD, on h = f_m +
     f_{m+1}, where d_of_n runs the ladder.  An odd part that _reduce_odd_part
     lowers reads the degree of the smaller part it reaches and runs no Euclid;
-    it and _gcd_is_trivial read their primes from one smallest-prime-factor
-    list up to n_max + 1.  The recurrence streams the same y-parts
-    f_m = A_m(y) + x B_m(y) as _y_pair: x^2 = x + y turns
+    each odd part is factored once, by trial division, and _gcd_is_trivial
+    reads its primes from _reduce_odd_part.  The recurrence streams the same
+    y-parts f_m = A_m(y) + x B_m(y) as _y_pair: x^2 = x + y turns
     f_{m+1} = x f_m + f_{m-1} into A_{m+1} = y B_m + A_{m-1} and
     B_{m+1} = A_m + B_m + B_{m-1}.
     """
     _require_side(n_max)
-    spf = _smallest_prime_factors(n_max + 1)
     degrees = []  # degrees[m]: deg gcd(h, h(x+1)) for the odd part 2m + 1
     a0, b0, a1, b1 = 0, 0, 1, 0  # y-parts of f_m and f_{m+1}, from m = 0
     for m in range(n_max // 2 + 1):
-        b = _reduce_odd_part(2 * m + 1, spf)
+        b, primes = _reduce_odd_part(2 * m + 1)
         if b < 2 * m + 1:
             degrees.append(degrees[b >> 1])
         else:
-            degrees.append(_h_gcd_degree(b, a0 ^ a1, b0 ^ b1, spf))
+            degrees.append(_h_gcd_degree(b, primes, a0 ^ a1, b0 ^ b1))
         a0, b0, a1, b1 = a1, b1, (b1 << 1) ^ a0, a1 ^ b1 ^ b0
     return [
         NullityRecord(n, _d_from(n, lambda b: degrees[b >> 1]), delta_closed_form(n))

@@ -55,10 +55,10 @@ def test_identity_sweeps_never_read_the_factored_route(monkeypatch):
     def refuse(n):
         raise AssertionError("identity sweep read d_of_n")
 
-    def refuse_shortcut(b, spf=None):
+    def refuse_shortcut(b, primes):
         raise AssertionError("identity sweep read _gcd_is_trivial")
 
-    def refuse_reduction(b, spf=None):
+    def refuse_reduction(b):
         raise AssertionError("identity sweep read _reduce_odd_part")
 
     monkeypatch.setattr(checks, "d_of_n", refuse)

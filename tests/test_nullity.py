@@ -25,8 +25,8 @@ from fibgrid.nullity import (
     _d_and_delta,
     _gcd_degree,
     _gcd_is_trivial,
+    _prime_factors,
     _reduce_odd_part,
-    _smallest_prime_factors,
     _y_pair,
 )
 from fibgrid.polygf2 import _mul_bits
@@ -112,6 +112,33 @@ def test_table_shares_gcds_without_changing_rows():
     ]
 
 
+def test_prime_factors_match_brute_force():
+    # each q >= 2 that no smaller prime divides is prime and is listed for
+    # every multiple of q, so factors[m] is m's distinct primes, ascending
+    limit = 20_000
+    factors = [[] for _ in range(limit + 1)]
+    for q in range(2, limit + 1):
+        if not factors[q]:
+            for multiple in range(q, limit + 1, q):
+                factors[multiple].append(q)
+    for m in range(1, limit + 1):
+        assert _prime_factors(m) == factors[m], f"m={m}"
+    # squares and a product of the primes either side of sqrt(2,000,001), the
+    # largest b that d trial-divides, and two primes below that b
+    cases = {
+        1: [],
+        2**40: [2],
+        3**25: [3],
+        1409**2: [1409],
+        1423**2: [1423],
+        1409 * 1423: [1409, 1423],
+        1_999_979: [1_999_979],
+        1_999_871: [1_999_871],
+    }
+    for m, primes in cases.items():
+        assert _prime_factors(m) == primes, f"m={m}"
+
+
 def _smallest_prime_factor(b: int) -> int:
     return next(q for q in range(3, b + 1, 2) if b % q == 0)
 
@@ -127,8 +154,8 @@ def test_trivial_gcd_predicate_agrees_with_euclid():
     # D(b) is 0 unless b*'s B = 0, when it is deg A's double for b*'s A
     fired = []
     for b in range(3, 10_002, 2):
-        reduced = _reduce_odd_part(b)
-        if _gcd_is_trivial(reduced):
+        reduced, primes = _reduce_odd_part(b)
+        if _gcd_is_trivial(reduced, primes):
             a, c = _h_parts(reduced)
             assert _gcd_degree(*_h_parts(b)) == (0 if c else _gcd_degree(a, 0)), f"b={b}"
             fired.append(b)
@@ -143,7 +170,32 @@ def test_trivial_gcd_predicate_agrees_with_euclid():
     # from Euclid)
     assert 25 in fired
     for b in (25, 63, 171, 585, 1025, 1093**2):
-        assert not _gcd_is_trivial(b), f"b={b}"
+        assert not _gcd_is_trivial(b, _prime_factors(b)), f"b={b}"
+
+
+def _check_predicate_at_prime(b: int, fires: bool) -> None:
+    # the predicate's verdict on a prime b, and Euclid on h_b where it fires
+    assert _reduce_odd_part(b) == (b, [b])
+    assert _gcd_is_trivial(b, [b]) == fires, f"b={b}"
+    if fires:
+        a, c = _h_parts(b)
+        assert c and _gcd_degree(a, c) == 0, f"b={b}"
+
+
+def test_trivial_gcd_predicate_at_primes_past_table():
+    # ord_b(2) = b - 1; ord_b(2) = (b - 1)/2 with b = 3 mod 4, where -1 is
+    # not a square and 2 still generates (Z/b)*/{+-1}; and (b - 1)/2 with
+    # b = 1 mod 4, where -1 is a power of 2 and the predicate must refuse
+    _check_predicate_at_prime(299_933, fires=True)
+    _check_predicate_at_prime(299_983, fires=True)
+    _check_predicate_at_prime(299_969, fires=False)
+
+
+@pytest.mark.slow
+def test_trivial_gcd_predicate_at_the_d_limit():
+    # ord_b(2) = b - 1, and (b - 1)/2 with b = 3 mod 4: n = b - 1 near 2,000,000
+    _check_predicate_at_prime(1_999_979, fires=True)
+    _check_predicate_at_prime(1_999_871, fires=True)
 
 
 @pytest.mark.slow
@@ -151,20 +203,19 @@ def test_trivial_gcd_predicate_at_large_prime_powers():
     # p^k reduces to p, where 2 generates (Z/p)*/{+-1}: no Euclid, and Euclid
     # on h for p^k agrees
     for b in (3**12, 7**6, 11**5, 19**4, 23**4, 47**3):
-        reduced = _reduce_odd_part(b)
-        assert _gcd_is_trivial(reduced) and _h_parts(reduced)[1], f"b={b}"
+        reduced, primes = _reduce_odd_part(b)
+        assert _gcd_is_trivial(reduced, primes) and _h_parts(reduced)[1], f"b={b}"
         a, c = _h_parts(b)
         assert c and _gcd_degree(a, c) == 0, f"b={b}"
 
 
 def _check_reduction(bmax: int) -> dict[int, int]:
-    # every odd b <= bmax that the reduction lowers keeps its GCD degree, and
-    # the sieved primes reduce it as trial division does
-    spf = _smallest_prime_factors(bmax)
+    # every odd b <= bmax that the reduction lowers keeps its GCD degree and
+    # its primes, and is a fixed point once lowered
     reduced = {}
     for b in range(3, bmax + 1, 2):
-        r = _reduce_odd_part(b)
-        assert _reduce_odd_part(b, spf) == r and _reduce_odd_part(r) == r, f"b={b}"
+        r, primes = _reduce_odd_part(b)
+        assert _reduce_odd_part(r) == (r, primes), f"b={b}"
         if r < b:
             assert _gcd_degree(*_h_parts(b)) == _gcd_degree(*_h_parts(r)), f"b={b}"
             reduced[b] = r
@@ -176,11 +227,11 @@ def test_reduction_keeps_the_gcd_degree():
     assert len(reduced) == 715
     assert reduced[3249] == 171  # 57^2: the powers counterexample's odd part
     assert reduced[5**5] == 5 and reduced[3**8] == 3
-    assert _reduce_odd_part(91125) == 15  # 3^6 5^3
+    assert _reduce_odd_part(91125) == (15, [3, 5])  # 3^6 5^3
     # where the order of 2 does not grow: the non-squarefree L with e(L) > 0,
     # 117 and 275, and 1093^2
     for b in (63, 117, 171, 275, 585, 1025, 1093**2):
-        assert _reduce_odd_part(b) == b, f"b={b}"
+        assert _reduce_odd_part(b)[0] == b, f"b={b}"
 
 
 @pytest.mark.slow
@@ -196,7 +247,7 @@ def test_reduced_route_matches_unreduced_gcd_at_powers():
     for a in range(3, 52, 2):
         if a % 21:
             odd_parts.update(a**k for k in range(1, 11) if a**k <= 100_000)
-    checked = [b for b in sorted(odd_parts) if _reduce_odd_part(b) < b]
+    checked = [b for b in sorted(odd_parts) if _reduce_odd_part(b)[0] < b]
     for b in checked:
         assert d_of_n(b - 1) == _d_and_delta(b - 1)[0], f"n={b - 1}"
     assert checked[-1] > 50_000

@@ -31,7 +31,7 @@ from collections import namedtuple
 
 from .fibpoly import fib_hmp
 from .grid import GridSystem
-from .nullity import _d_and_delta, d_of_n, delta_closed_form, delta_via_gcd
+from .nullity import _d_and_delta, _reduce_odd_part, d_of_n, delta_closed_form, delta_via_gcd
 from .polygf2 import PolyGF2, gcd, ore_product_gcd
 
 __all__ = [
@@ -214,10 +214,12 @@ def powers(*, amax: int = 51, kmax: int = 17, degree_cap: int = 200_000) -> list
     d(3248) = 36, so amax >= 57 with kmax >= 2 and degree_cap >= 3249
     reports a failing case.  The default amax of 51 stops below it.
 
-    d_of_n runs Euclid for most a^k on h for a small odd part: while p^2
-    divides a^k and the order of 2 grows by p from a^k/p, _reduce_odd_part
-    divides by p.  So a^k = 57^2 reaches 171, and every power of a prime a
-    reaches a unless 2^(a-1) = 1 mod a^2, as for a = 1093.  The independent
+    Each a^k is taken to its reduced odd part b*: while p^2 divides a^k and
+    the order of 2 grows by p from a^k/p, _reduce_odd_part divides by p, and
+    D(b*) = D(a^k).  So a^k = 57^2 reaches 171, and every power of a prime a
+    reaches a unless 2^(a-1) = 1 mod a^2, as for a = 1093.  d_of_n runs once
+    per distinct b* in a call, at b* - 1, and every case with that b* reads
+    it: at degree_cap 100,000 the 88 default cases reach 20.  The independent
     checks are `oracle`, by light chasing, and a Tier-1 test that takes
     d(a^k - 1) by Euclid on the unreduced f_{a^k} wherever the reduction
     applies, for a^k <= 100,000.
@@ -225,20 +227,22 @@ def powers(*, amax: int = 51, kmax: int = 17, degree_cap: int = 200_000) -> list
     _require("amax", amax, 3)
     _require("kmax", kmax)
     _require("degree_cap", degree_cap, 3)
-    # n + 1 = a^k is odd, so one d_of_n per distinct n is one GCD per odd part:
-    # k = 1 repeats base, and 9, 25, 27, 49 repeat powers of 3, 5, 7
-    d = functools.cache(d_of_n)
+    # n + 1 = a^k is odd and 3 | b* exactly when 3 | a^k, so _d_from gives
+    # d(a^k - 1) = d(b* - 1) for b* = _reduce_odd_part(a^k)[0]; d_at runs
+    # d_of_n once per b* in this call
+    d_at = functools.cache(lambda b: d_of_n(b - 1))
     cases = []
     for a in range(3, min(amax, degree_cap) + 1, 2):  # a > degree_cap has no case
         if a % 21 == 0:
             continue  # outside the conjecture's hypothesis
-        base = d(a - 1)
+        base = d_at(_reduce_odd_part(a)[0])
         power = 1
         for k in range(1, kmax + 1):
             power *= a
             if power > degree_cap:
                 break
-            cases.append(Case(f"a={a};k={k};n={power - 1}", base, d(power - 1)))
+            d = d_at(_reduce_odd_part(power)[0])
+            cases.append(Case(f"a={a};k={k};n={power - 1}", base, d))
     return [Report("powers", tuple(cases))]
 
 

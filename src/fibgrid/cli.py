@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import functools
 import os
 import sys
 
@@ -198,6 +199,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # -- parser --------------------------------------------------------------------
 
 
+@functools.cache  # built on main's first call, not at import, and reused after
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fibgrid",

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import inspect
+from pathlib import Path
 
 import pytest
 
-from fibgrid import SWEEPS, checks, delta_via_gcd, nullity
+from fibgrid import SWEEPS, checks, delta_via_gcd, nullity, to_text
 from fibgrid.cli import build_parser
 
 # each sweep's bounds, by keyword, with the defaults documented in the README
@@ -92,10 +93,34 @@ def test_powers_skips_bases_above_the_degree_cap(monkeypatch):
 
     monkeypatch.setattr(checks, "d_of_n", counted)
     wide = checks.powers(amax=401, degree_cap=9)
-    # one call per distinct n, each n + 1 = a^k odd, so one GCD per odd part
+    # one call per distinct reduced odd part, each below the cap
     assert calls and len(calls) == len(set(calls))
     assert max(calls) + 1 <= 9
     assert wide == checks.powers(amax=9, degree_cap=9)
+
+
+def test_powers_computes_one_d_per_reduced_odd_part(monkeypatch):
+    # d(a^k - 1) = d(b* - 1) for b* = _reduce_odd_part(a^k)[0], so the 88 cases
+    # under the benchmark's cap read 20 values of d_of_n, each at a fixed point
+    calls = []
+    real = checks.d_of_n
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(checks, "d_of_n", counted)
+    reports = checks.powers(degree_cap=100_000)
+    assert len(reports[0].cases) == 88
+    assert len(calls) == len(set(calls)) == 20
+    assert all(nullity._reduce_odd_part(n + 1)[0] == n + 1 for n in calls)
+    reference = Path(__file__).parent.parent / "perfbench" / "reference" / "powers.txt"
+    with open(reference, encoding="ascii", newline="") as fh:
+        assert "".join(map(to_text, reports)) == fh.read()
+    # 57^2 = 3249 reduces to 171, not to rad(57^2) = 57, so the case still fails
+    (report,) = checks.powers(amax=57, degree_cap=3249)
+    case = next(c for c in report.cases if c.params == "a=57;k=2;n=3248")
+    assert (case.expected, case.computed, case.verdict) == (0, 36, "fail")
 
 
 def test_delta_runs_no_euclid(monkeypatch):

@@ -758,6 +758,46 @@ def test_verify_bounds_at_the_limit_are_accepted(capsys, monkeypatch, argv):
     assert run(capsys, *argv)[0] == 0
 
 
+# -- one parser per process ---------------------------------------------------------
+
+
+def test_main_reuses_one_parser_across_refused_and_valid_calls(capsys):
+    # main builds its parser on the first call only; a refused call, whether
+    # refused by argparse, by the stray-flag check or by a limit, leaves nothing
+    # in it that changes a later call
+    assert cli.build_parser() is cli.build_parser()
+
+    def outcome(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse exits on usage errors
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    calls = [
+        ("d", "0"),
+        ("d", "4"),
+        ("verify", "delta", "--kmax", "3"),
+        ("verify", "all2", "--kmax", "2"),
+        ("table", "30001"),
+        ("table", "3"),
+    ]
+    first = {argv: outcome(argv) for argv in calls}
+    assert first[("d", "0")][:2] == (2, "")
+    assert first[("d", "0")][2].endswith("fibgrid d: error: argument n: must be >= 1\n")
+    assert first[("verify", "delta", "--kmax", "3")] == (
+        2,
+        "",
+        "verify delta: --kmax does not apply; it takes --nmax\n",
+    )
+    assert first[("table", "30001")] == (2, "", "table: n_max must be <= 30000, got 30001\n")
+    assert first[("d", "4")] == (0, "n=4 d=4 delta=0\n", "")
+    assert first[("verify", "all2", "--kmax", "2")] == (0, ALL2_K2, "")
+    assert first[("table", "3")] == (0, "n,d,delta\n1,0,0\n2,0,2\n3,0,0\n", "")
+    for order in (calls, calls[::-1], calls[1::2] + calls[::2]):
+        assert {argv: outcome(argv) for argv in order} == first
+
+
 def test_readme_examples(capsys):
     # the README's first text block: "$ fibgrid ARGS" lines, each followed by its stdout
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")

@@ -14,12 +14,11 @@ doubling ladder on (A, B) pairs, and table streams them by the defining
 recurrence.  y is fixed by x -> x+1, so for p = A(y) + x B(y),
 deg gcd(p(x), p(x+1)) = 2 deg gcd(A, B), one Euclid at half the degree of
 p (_gcd_degree).  d_of_n takes it on a factor h of f_{n+1} at half the degree
-of the odd part b of n + 1, after two number-theory steps on one trial
-division of b: it first divides b by each prime p with p^2 | b while
-ord_b(2) = p ord_{b/p}(2), which keeps the GCD's degree (_reduce_odd_part),
-and skips Euclid when the b it reaches is a prime with 2 generating
-(Z/b)*/{+-1} (_gcd_is_trivial).  The first takes every power of a prime p to
-p, unless 2^(p-1) = 1 mod p^2 as for p = 1093.
+of the odd part b of n + 1, after two number-theory steps on one trial division
+of b (_factor) that share one ord_p(2) helper (_order_of_2): it lowers each
+exponent e_p of b to min(e_p, c_p), caps set by b's primes alone, keeping the
+GCD's degree (_reduce_odd_part), and skips Euclid when the b it reaches is a
+prime with 2 generating (Z/b)*/{+-1} (_gcd_is_trivial).
 _d_and_delta takes it on the unreduced f_{n+1}, always by Euclid; it is the
 reference that the identity sweeps (recurrence, equivalence) read, because
 d_of_n's factoring rests on those same identities and the basis does not.
@@ -29,6 +28,7 @@ delta_n needs no Euclid: it is read off the y-adic valuations of A and B
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from collections.abc import Callable, Iterable
 
@@ -80,33 +80,59 @@ def _y_pair(m: int) -> tuple[int, int, int, int]:
     return a0, b0, a1, b1
 
 
-def _prime_factors(m: int) -> list[int]:
-    """The distinct primes dividing m >= 1, by trial division."""
-    primes = [] if m & 1 else [2]
-    m //= m & -m  # the odd part
+def _factor(m: int) -> dict[int, int]:
+    """{p: e} for the primes p of m >= 1, p^e exactly dividing m, ascending, by trial division."""
+    k = (m & -m).bit_length() - 1
+    factors = {2: k} if k else {}
+    m >>= k
     q = 3
     while q * q <= m:
-        if m % q == 0:
-            primes.append(q)
-            while m % q == 0:
-                m //= q
+        while m % q == 0:
+            factors[q] = factors.get(q, 0) + 1
+            m //= q
         q += 2
-    return primes + [m] if m > 1 else primes
+    if m > 1:
+        factors[m] = 1
+    return factors
+
+
+def _order_of_2(p: int) -> int:
+    """ord_p(2) for an odd prime p: p - 1 divided by its primes while 2 stays a root."""
+    order = p - 1
+    for q in _factor(order):
+        while order % q == 0 and pow(2, order // q, p) == 1:
+            order //= q
+    return order
+
+
+def _cap(primes: list[int]) -> int:
+    """C = prod p^c_p over distinct odd primes, c_p = v_p(2^L - 1), L the lcm of the ord_p(2)."""
+    order = math.lcm(*[_order_of_2(p) for p in primes])
+    cap = 1
+    for p in primes:
+        power = p
+        while pow(2, order, power * p) == 1:
+            power *= p
+        cap *= power
+    return cap
 
 
 def _reduce_odd_part(b: int) -> tuple[int, list[int]]:
     """(b*, primes): an odd b* dividing odd b with D(b*) = D(b), and b's distinct primes.
 
-    D(b) = deg gcd(h, h(x+1)) for h = h_b = f_m + f_{m+1}, m = (b-1)/2.  While
-    some prime p has p^2 | b and ord_b(2) = p ord_{b/p}(2), b becomes b/p.
-    Once p^2 | b, the ratio ord_b(2) / ord_{b/p}(2) is 1 or p, so with
-    o = ord_b(2) the order grows exactly when p | o and 2^(o/p) = 1 mod b/p,
-    and then b/p has order o/p.  Every prime of b keeps one factor, so primes
-    are b*'s primes too, and 3 | b* exactly when 3 | b.  Whether the order
-    grows at p depends only on p's exponent and on which primes divide b,
-    since v_p(ord_c(2)) below is the largest v_p(ord_q(2)) over the primes q
-    of c; so one pass, dividing each prime while its order grows, leaves no
-    prime that applies.
+    D(b) = deg gcd(h, h(x+1)) for h = h_b = f_m + f_{m+1}, m = (b-1)/2.  Where
+    p^2 | b and ord_b(2) = p ord_{b/p}(2), D(b/p) = D(b) (proof below), and b*
+    is where such division stops: b* = prod p^min(e_p, c_p) for b = prod p^e_p.
+    Write b = p^e c with p not dividing c, w_p = v_p(2^ord_p(2) - 1) - 1 (1 at
+    the Wieferich primes 1093 and 3511), and m_p = v_p(ord_c(2)), the largest
+    v_p(ord_q(2)) over the primes q of b.  Lifting the exponent,
+    v_p(ord_{p^e}(2)) = max(0, e - 1 - w_p), and ord_{p^e}(2) has the p-free
+    part of ord_{p^(e-1)}(2), so the order grows from b/p to b exactly when
+    e > c_p = 1 + w_p + m_p.  c_p depends only on which primes divide b, so no
+    division changes a cap.  _cap reads c_p as v_p(2^L - 1), L the lcm of the
+    ord_q(2): v_p(2^L - 1) = v_p(2^ord_p(2) - 1) + v_p(L) = 1 + w_p + m_p, so
+    b* = gcd(b, C) for C = prod p^c_p.  Every cap is at least 1, so b* has b's
+    primes, and 3 | b* exactly if 3 | b.
 
     Proof that D(b/p) = D(b).  The roots of h_b are z + 1/z for z != 1 with
     z^b = 1, and they are distinct, so D(b) counts the roots a of h_b for which
@@ -114,10 +140,9 @@ def _reduce_odd_part(b: int) -> tuple[int, list[int]]:
     a root counted at b but not at b/p: a = z + 1/z and a + 1 = w + 1/w, and
     M = lcm(ord z, ord w), which divides b but not b/p, so v_p(M) = v_p(b) = e
     with e >= 2.  Write b = p^e c and M = p^e s, with s | c and p not dividing
-    c.  ord_{p^e}(2) and ord_{p^(e-1)}(2) have the same p-free part, so the
-    order grows from b/p to b exactly when v_p(ord_{p^e}(2)) exceeds both
-    v_p(ord_{p^(e-1)}(2)) and v_p(ord_c(2)); ord_s(2) divides ord_c(2), so it
-    grows from M/p to M as well.  Let t be a primitive M-th root of unity,
+    c.  The order grows from b/p to b, so e > c_p; M's primes are among b's,
+    so its cap at p is at most c_p, and the order grows from M/p to M as
+    well.  Let t be a primitive M-th root of unity,
     z = t^u and w = t^v.  In characteristic 2, a + (a + 1) + 1 = 0, so t is a
     root of Q = 1 + X^u + X^-u + X^v + X^-v, whose five exponents are distinct
     mod M: u and v are nonzero, u is not +-v because a != a + 1, and M is odd.
@@ -129,19 +154,9 @@ def _reduce_odd_part(b: int) -> tuple[int, list[int]]:
     all five exponents lie in one class mod p, the class of 0: p divides u
     and v, and z and w have orders dividing M/p, against the choice of M.
     """
-    primes = _prime_factors(b)
-    if all(b % (p * p) for p in primes):
-        return b, primes
-    order = b
-    for p in primes:
-        order -= order // p  # phi(b)
-    for q in _prime_factors(order):
-        while order % q == 0 and pow(2, order // q, b) == 1:
-            order //= q
-    for p in primes:
-        while b % (p * p) == 0 and order % p == 0 and pow(2, order // p, b // p) == 1:
-            b //= p
-            order //= p
+    primes = list(_factor(b))
+    if math.prod(primes) < b:  # not squarefree
+        b = math.gcd(b, _cap(primes))
     return b, primes
 
 
@@ -156,36 +171,25 @@ def _gcd_is_trivial(b: int, primes: list[int]) -> bool:
     irreducible.  h(x+1) is irreducible of the same degree, so the GCD is 1
     unless h(x+1) = h, which for h = A(y) + x B(y) is B = 0.
 
-    2 generates that cyclic group, of order half = (b-1)/2, exactly when
-    2^(half/q) is not +-1 mod b for each prime q dividing half.
-
-    _reduce_odd_part leaves a prime power p^k, k >= 2, only where
-    ord_{p^k}(2) = ord_{p^(k-1)}(2), which divides phi(b)/p; then 2 cannot
-    generate (Z/b)*/{+-1}, of order phi(b)/2, so primes are the only b where
-    this argument applies.
+    (Z/b)* is cyclic of order b - 1, so 2 and -1 generate it exactly when
+    ord_b(2) = b - 1, or ord_b(2) = (b - 1)/2 and -1 is not a power of 2: the
+    powers of 2 are then the squares, and -1 is a square when b = 1 mod 4.
+    A prime power b = p^k, k >= 2, left by _reduce_odd_part has ord_b(2)
+    dividing phi(b)/p, so 2 cannot generate (Z/b)*/{+-1}: b must be prime.
     """
     if primes != [b]:
         return False
-    half = (b - 1) // 2
-    return all(pow(2, half // q, b) not in (1, b - 1) for q in _prime_factors(half))
+    order = _order_of_2(b)
+    return order == b - 1 or (2 * order == b - 1 and b % 4 == 3)
 
 
 def _h_gcd_degree(b: int, primes: list[int], a: int, c: int) -> int:
-    """D(b) from the y-parts a = A and c = B of h = f_m + f_{m+1} = A(y) + x B(y), m = (b-1)/2.
-
-    primes are b's, as _reduce_odd_part found them, so b is factored once.
-    Euclid runs only where _gcd_is_trivial cannot settle it.
-    """
-    if c and _gcd_is_trivial(b, primes):
-        return 0
-    return _gcd_degree(a, c)
+    """D(b) from h_b's y-parts a = A and c = B, by Euclid unless _gcd_is_trivial settles it."""
+    return 0 if c and _gcd_is_trivial(b, primes) else _gcd_degree(a, c)
 
 
 def _odd_gcd_degree(b: int) -> int:
-    """deg gcd(h, h(x+1)) for odd b, where h = f_m + f_{m+1} and m = (b-1)/2.
-
-    Computed on the h of _reduce_odd_part(b), which has the same GCD degree.
-    """
+    """D(b) for odd b, computed on h for _reduce_odd_part(b), which has the same GCD degree."""
     b, primes = _reduce_odd_part(b)
     a0, b0, a1, b1 = _y_pair(b >> 1)
     return _h_gcd_degree(b, primes, a0 ^ a1, b0 ^ b1)
@@ -209,11 +213,8 @@ def d_of_n(n: int) -> int:
     so the GCD is gcd(h, h(x+1))^(2^(k+1)) times (x^2 + x)^(2^k - 1) when
     3 | b.  The ladder builds h as A(y) + x B(y), y = x^2 + x (_y_pair), and
     its degree is twice that of gcd(A, B), a Euclid at half the degree of h
-    (_gcd_degree).  All of this runs on h for _reduce_odd_part(b), which has
-    the same GCD degree, so the cost follows that reduced part and not b;
-    Euclid is skipped when that part b* satisfies _gcd_is_trivial(b*) and
-    B != 0, for then the GCD is 1.  Every b = 3^k reduces to 3, so
-    d_{2*3^k - 1} = 2 for every k.
+    (_gcd_degree).  All of this runs on h for b* = _reduce_odd_part(b), with the
+    same GCD degree, and Euclid is skipped where _gcd_is_trivial(b*) and B != 0.
     """
     _require_side(n)
     return _d_from(n, _odd_gcd_degree)
@@ -268,12 +269,10 @@ def table(n_max: int) -> list[NullityRecord]:
 
     Rows whose n + 1 share an odd part 2m + 1 share one GCD, on h = f_m +
     f_{m+1}, where d_of_n runs the ladder.  An odd part that _reduce_odd_part
-    lowers reads the degree of the smaller part it reaches and runs no Euclid;
-    each odd part is factored once, by trial division, and _gcd_is_trivial
-    reads its primes from _reduce_odd_part.  The recurrence streams the same
-    y-parts f_m = A_m(y) + x B_m(y) as _y_pair: x^2 = x + y turns
-    f_{m+1} = x f_m + f_{m-1} into A_{m+1} = y B_m + A_{m-1} and
-    B_{m+1} = A_m + B_m + B_{m-1}.
+    lowers reads the degree of the part it reaches and runs no Euclid.  The
+    recurrence streams the same y-parts f_m = A_m(y) + x B_m(y) as _y_pair:
+    x^2 = x + y turns f_{m+1} = x f_m + f_{m-1} into A_{m+1} = y B_m + A_{m-1}
+    and B_{m+1} = A_m + B_m + B_{m-1}.
     """
     _require_side(n_max)
     degrees = []  # degrees[m]: deg gcd(h, h(x+1)) for the odd part 2m + 1

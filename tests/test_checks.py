@@ -123,6 +123,39 @@ def test_powers_computes_one_d_per_reduced_odd_part(monkeypatch):
     assert (case.expected, case.computed, case.verdict) == (0, 36, "fail")
 
 
+def test_powers_trial_divides_only_bases_and_p_minus_1(monkeypatch):
+    # b*(a^k) = gcd(a^k, C) with C from a's primes and their caps, so the
+    # sweep itself trial-divides each base a and p - 1 for its primes p, all
+    # <= amax; d_of_n trial-divides its b* and b* - 1 or p - 1, never an a^k
+    # above amax (those below it are bases themselves, as 9 = 3^2)
+    real_factor, real_d = nullity._factor, checks.d_of_n
+    seen = {"sweep": [], "d_of_n": []}
+    where = ["sweep"]
+
+    def factor(m):
+        seen[where[-1]].append(m)
+        return real_factor(m)
+
+    def d_of_n(n):
+        where.append("d_of_n")
+        try:
+            return real_d(n)
+        finally:
+            where.pop()
+
+    monkeypatch.setattr(nullity, "_factor", factor)
+    monkeypatch.setattr(checks, "_factor", factor)
+    monkeypatch.setattr(checks, "d_of_n", d_of_n)
+    checks.powers(degree_cap=100_000)
+    bases = [a for a in range(3, 52, 2) if a % 21]
+    odd_primes = [p for p in range(3, 52, 2) if all(p % q for q in range(3, p, 2))]
+    p_minus_1 = {p - 1 for a in bases for p in odd_primes if a % p == 0}
+    assert set(seen["sweep"]) == set(bases) | p_minus_1
+    assert max(seen["sweep"]) <= 51
+    higher_powers = {a**k for a in bases for k in range(2, 18) if 51 < a**k <= 100_000}
+    assert seen["d_of_n"] and not higher_powers & set(seen["sweep"] + seen["d_of_n"])
+
+
 def test_delta_runs_no_euclid(monkeypatch):
     # delta_via_gcd reads delta off y-adic valuations, never off a GCD
     def refuse(a, b):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -22,10 +24,11 @@ from fibgrid import (
 )
 from fibgrid.checks import all2, powers, recurrence
 from fibgrid.nullity import (
+    _cap,
     _d_and_delta,
+    _factor,
     _gcd_degree,
     _gcd_is_trivial,
-    _prime_factors,
     _reduce_odd_part,
     _y_pair,
 )
@@ -112,6 +115,13 @@ def test_table_shares_gcds_without_changing_rows():
     ]
 
 
+def _check_factor(m: int, primes: list[int]) -> None:
+    # m's distinct primes, ascending, each with the exponent that rebuilds m
+    factors = _factor(m)
+    assert list(factors) == primes, f"m={m}"
+    assert math.prod(p**e for p, e in factors.items()) == m, f"m={m}"
+
+
 def test_prime_factors_match_brute_force():
     # each q >= 2 that no smaller prime divides is prime and is listed for
     # every multiple of q, so factors[m] is m's distinct primes, ascending
@@ -122,7 +132,7 @@ def test_prime_factors_match_brute_force():
             for multiple in range(q, limit + 1, q):
                 factors[multiple].append(q)
     for m in range(1, limit + 1):
-        assert _prime_factors(m) == factors[m], f"m={m}"
+        _check_factor(m, factors[m])
     # squares and a product of the primes either side of sqrt(2,000,001), the
     # largest b that d trial-divides, and two primes below that b
     cases = {
@@ -136,7 +146,7 @@ def test_prime_factors_match_brute_force():
         1_999_871: [1_999_871],
     }
     for m, primes in cases.items():
-        assert _prime_factors(m) == primes, f"m={m}"
+        _check_factor(m, primes)
 
 
 def _smallest_prime_factor(b: int) -> int:
@@ -170,12 +180,37 @@ def test_trivial_gcd_predicate_agrees_with_euclid():
     # from Euclid)
     assert 25 in fired
     for b in (25, 63, 171, 585, 1025, 1093**2):
-        assert not _gcd_is_trivial(b, _prime_factors(b)), f"b={b}"
+        assert not _gcd_is_trivial(b, list(_factor(b))), f"b={b}"
+
+
+def _two_and_minus_one_generate(b: int) -> bool:
+    # enumerates the subgroup of (Z/b)* that 2 and -1 generate, for odd b >= 3
+    group, x = set(), 1
+    while x not in group:
+        group.update((x, b - x))
+        x = 2 * x % b
+    return len(group) == b - 1
+
+
+def test_trivial_gcd_predicate_matches_the_group_of_2_and_minus_1():
+    # for prime b, the predicate fires exactly when 2 and -1 generate (Z/b)*,
+    # which the brute force finds with no order, factoring or quadratic residue;
+    # b is prime when no smaller prime divides it
+    primes = []
+    for b in range(3, 10_008, 2):
+        is_prime = all(b % p for p in primes if p * p <= b)
+        if is_prime:
+            primes.append(b)
+        fires = is_prime and _two_and_minus_one_generate(b)
+        assert _gcd_is_trivial(b, list(_factor(b))) == fires, f"b={b}"
+    assert primes[-1] == 10_007 and len(primes) == 1229
 
 
 def _check_predicate_at_prime(b: int, fires: bool) -> None:
-    # the predicate's verdict on a prime b, and Euclid on h_b where it fires
+    # the predicate's verdict on a prime b, against the brute force, and
+    # Euclid on h_b where it fires
     assert _reduce_odd_part(b) == (b, [b])
+    assert _two_and_minus_one_generate(b) == fires, f"b={b}"
     assert _gcd_is_trivial(b, [b]) == fires, f"b={b}"
     if fires:
         a, c = _h_parts(b)
@@ -237,6 +272,67 @@ def test_reduction_keeps_the_gcd_degree():
 @pytest.mark.slow
 def test_reduction_keeps_the_gcd_degree_to_30001():
     assert len(_check_reduction(30_001)) == 2092
+
+
+def _trial_primes(m: int) -> list[int]:
+    # m's distinct primes, by trial division
+    primes = [] if m & 1 else [2]
+    m //= m & -m
+    q = 3
+    while q * q <= m:
+        if m % q == 0:
+            primes.append(q)
+            while m % q == 0:
+                m //= q
+        q += 2
+    return primes + [m] if m > 1 else primes
+
+
+def _iterative_reduction(b: int) -> int:
+    # the loop that the caps replace: o = ord_b(2) from phi(b), then divide
+    # by p while p^2 | b and the order grows, ord_b(2) = p ord_{b/p}(2)
+    primes = _trial_primes(b)
+    order = b
+    for p in primes:
+        order -= order // p  # phi(b)
+    for q in _trial_primes(order):
+        while order % q == 0 and pow(2, order // q, b) == 1:
+            order //= q
+    for p in primes:
+        while b % (p * p) == 0 and order % p == 0 and pow(2, order // p, b // p) == 1:
+            b //= p
+            order //= p
+    return b
+
+
+def _check_caps(amax: int, kmax: int = 8) -> None:
+    # b*(a^k) = prod p^min(k e_p, c_p) from a's factors and the caps c_p in
+    # C = _cap(a's primes), and gcd(a^k, C) as powers takes it, against the
+    # loop on a^k and against _reduce_odd_part(a^k)
+    for a in range(3, amax + 1, 2):
+        factors = _factor(a)
+        cap = _cap(list(factors))
+        caps = _factor(cap)
+        for k in range(1, kmax + 1):
+            capped = math.prod(p ** min(k * e, caps[p]) for p, e in factors.items())
+            assert capped == math.gcd(a**k, cap) == _iterative_reduction(a**k), f"a={a};k={k}"
+            assert capped == _reduce_odd_part(a**k)[0], f"a={a};k={k}"
+
+
+def test_caps_match_the_iterative_reduction():
+    _check_caps(1001)
+
+
+@pytest.mark.slow
+def test_caps_match_the_iterative_reduction_to_3001():
+    _check_caps(3001)
+
+
+def test_reduction_stops_at_the_wieferich_square():
+    # 2^(p-1) = 1 mod p^2 at p = 1093 and 3511, so w_p = 1 and c_p = 2:
+    # p^3 reduces to p^2, not to p, alone or beside 3
+    for b, reduced in ((1093**3, 1093**2), (3511**3, 3511**2), (3 * 1093**3, 3 * 1093**2)):
+        assert _reduce_odd_part(b)[0] == reduced == _iterative_reduction(b), f"b={b}"
 
 
 def test_reduced_route_matches_unreduced_gcd_at_powers():

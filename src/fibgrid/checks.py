@@ -8,14 +8,14 @@ order `verify all` runs them.
 
 Which route each sweep reads: d_of_n, the factored fast route, is checked by
 `oracle` against `GridSystem`'s light chasing, which runs f_{n+1}'s recurrence
-at the line operator with no polygf2 kernel, GCD, ladder or y-basis, and is
-the value under test in `all2` and `powers`.  `recurrence`, `delta` and
-`equivalence` check identities that d_of_n uses to factor f_{n+1}, so they
-never read d_of_n.  `recurrence` and `equivalence` read `_d_and_delta`, and
-`delta` reads `delta_via_gcd`: both build the unreduced f_{n+1} as
-A(y) + x B(y), y = x^2 + x.  d comes from gcd(A, B), which rests on that basis
-and on no doubling identity of d, and delta from whether A and B have the same
-y-adic valuation, with no Euclid and not from the mod-3 closed form.
+at the line operator with no polygf2 kernel, GCD, ladder or y-basis; `all2`
+tests d_of_n, and `powers` the same route from the reduced odd part b* on.
+`recurrence`, `delta` and `equivalence` check identities that this route uses
+to factor f_{n+1}, so they never read it: `recurrence` and `equivalence` read
+`_d_and_delta`, and `delta` reads `delta_via_gcd`, which build the unreduced
+f_{n+1} as A(y) + x B(y), y = x^2 + x.  d comes from gcd(A, B), resting on that
+basis and on no doubling identity of d, and delta from whether A and B have
+the same y-adic valuation, with no Euclid and not from the mod-3 closed form.
 
 Two kinds of report share one type.  A conjecture check (scope None) keeps
 every case and renders as a per-case table.  A range sweep sets scope to a
@@ -31,7 +31,8 @@ from collections import namedtuple
 
 from .fibpoly import fib_hmp
 from .grid import GridSystem
-from .nullity import _cap, _d_and_delta, _factor, d_of_n, delta_closed_form, delta_via_gcd
+from .nullity import _cap, _d_and_delta, _d_from, _factor, _odd_gcd_degree, d_of_n
+from .nullity import delta_closed_form, delta_via_gcd
 from .polygf2 import PolyGF2, gcd, ore_product_gcd
 
 __all__ = [
@@ -219,18 +220,19 @@ def powers(*, amax: int = 51, kmax: int = 17, degree_cap: int = 200_000) -> list
     primes alone, give C = prod p^c_p once, and b*(a^k) = gcd(a^k, C) =
     prod p^min(k e_p, c_p), so no a^k is trial-divided.  So 57^2 reaches 171,
     and every power of a prime a reaches a unless 2^(a-1) = 1 mod a^2, as for
-    a = 1093.  d_of_n runs once per distinct b* in a call, at b* - 1, and
-    every case with that b* reads it: at degree_cap 100,000 the 88 default
-    cases reach 20.  The independent checks are `oracle`, by light chasing,
-    and a Tier-1 test that takes d(a^k - 1) by Euclid on the unreduced
-    f_{a^k} wherever the reduction applies, for a^k <= 100,000.
+    a = 1093.  d(b* - 1) is read from b* on (_odd_gcd_degree), as d_of_n
+    would read it but with no second factoring, since b* is a fixed point of
+    the reduction; it runs once per distinct b*, and at degree_cap 100,000 the
+    88 default cases reach 20.  The independent checks are `oracle`, by light
+    chasing, and a Tier-1 test that takes d(a^k - 1) by Euclid on the
+    unreduced f_{a^k} wherever the reduction applies, for a^k <= 100,000.
     """
     _require("amax", amax, 3)
     _require("kmax", kmax)
     _require("degree_cap", degree_cap, 3)
     # n + 1 = a^k is odd and 3 | b* exactly when 3 | a^k, so _d_from gives
-    # d(a^k - 1) = d(b* - 1); d_at runs d_of_n once per b* in this call
-    d_at = functools.cache(lambda b: d_of_n(b - 1))
+    # d(a^k - 1) = d(b* - 1); d_at runs Euclid at most once per b* in this call
+    d_at = functools.cache(lambda b: _d_from(b - 1, _odd_gcd_degree))
     cases = []
     for a in range(3, min(amax, degree_cap) + 1, 2):  # a > degree_cap has no case
         if a % 21 == 0:

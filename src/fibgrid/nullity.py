@@ -14,11 +14,11 @@ doubling ladder on (A, B) pairs, and table streams them by the defining
 recurrence.  y is fixed by x -> x+1, so for p = A(y) + x B(y),
 deg gcd(p(x), p(x+1)) = 2 deg gcd(A, B), one Euclid at half the degree of
 p (_gcd_degree).  d_of_n takes it on a factor h of f_{n+1} at half the degree
-of the odd part b of n + 1, after two number-theory steps on one trial division
-of b (_factor) that share one ord_p(2) helper (_order_of_2): it lowers each
-exponent e_p of b to min(e_p, c_p), caps set by b's primes alone, keeping the
-GCD's degree (_reduce_odd_part), and skips Euclid when the b it reaches is a
-prime with 2 generating (Z/b)*/{+-1} (_gcd_is_trivial).
+of the odd part b of n + 1, after two number-theory steps sharing one ord(2)
+helper (_order_of_2): _reduce_odd_part lowers each exponent e_p of b to
+min(e_p, c_p), caps set by b's primes alone, keeping the GCD's degree, and on
+the b* it reaches (_odd_gcd_degree, where `powers` enters) Euclid is skipped if
+_gcd_is_trivial, from b* alone, finds a prime with 2 generating (Z/b*)*/{+-1}.
 _d_and_delta takes it on the unreduced f_{n+1}, always by Euclid; it is the
 reference that the identity sweeps (recurrence, equivalence) read, because
 d_of_n's factoring rests on those same identities and the basis does not.
@@ -96,11 +96,11 @@ def _factor(m: int) -> dict[int, int]:
     return factors
 
 
-def _order_of_2(p: int) -> int:
-    """ord_p(2) for an odd prime p: p - 1 divided by its primes while 2 stays a root."""
-    order = p - 1
+def _order_of_2(m: int) -> int:
+    """ord_m(2) for odd m with 2^(m-1) = 1 mod m: m - 1 divided by its primes while 2 is a root."""
+    order = m - 1
     for q in _factor(order):
-        while order % q == 0 and pow(2, order // q, p) == 1:
+        while order % q == 0 and pow(2, order // q, m) == 1:
             order //= q
     return order
 
@@ -117,8 +117,8 @@ def _cap(primes: list[int]) -> int:
     return cap
 
 
-def _reduce_odd_part(b: int) -> tuple[int, list[int]]:
-    """(b*, primes): an odd b* dividing odd b with D(b*) = D(b), and b's distinct primes.
+def _reduce_odd_part(b: int) -> int:
+    """b*: an odd b* dividing odd b with D(b*) = D(b), a fixed point of this reduction.
 
     D(b) = deg gcd(h, h(x+1)) for h = h_b = f_m + f_{m+1}, m = (b-1)/2.  Where
     p^2 | b and ord_b(2) = p ord_{b/p}(2), D(b/p) = D(b) (proof below), and b*
@@ -155,15 +155,12 @@ def _reduce_odd_part(b: int) -> tuple[int, list[int]]:
     and v, and z and w have orders dividing M/p, against the choice of M.
     """
     primes = list(_factor(b))
-    if math.prod(primes) < b:  # not squarefree
-        b = math.gcd(b, _cap(primes))
-    return b, primes
+    return math.gcd(b, _cap(primes)) if math.prod(primes) < b else b  # unless squarefree
 
 
-def _gcd_is_trivial(b: int, primes: list[int]) -> bool:
-    """Whether b is prime and 2 generates (Z/b)*/{+-1}, so that D(b) = 0 when B != 0.
+def _gcd_is_trivial(b: int) -> bool:
+    """Whether odd b is prime and 2 generates (Z/b)*/{+-1}, so that D(b) = 0 when B != 0.
 
-    primes are b's distinct primes, so b is prime exactly when they are [b].
     Here D(b) = deg gcd(h, h(x+1)) for h = f_m + f_{m+1} = A(y) + x B(y),
     m = (b-1)/2.  For a primitive b-th root of unity z, the roots of h are
     z^j + z^-j, 0 < j < b/2.  Frobenius maps z^j + z^-j to z^2j + z^-2j, so it
@@ -174,25 +171,25 @@ def _gcd_is_trivial(b: int, primes: list[int]) -> bool:
     (Z/b)* is cyclic of order b - 1, so 2 and -1 generate it exactly when
     ord_b(2) = b - 1, or ord_b(2) = (b - 1)/2 and -1 is not a power of 2: the
     powers of 2 are then the squares, and -1 is a square when b = 1 mod 4.
-    A prime power b = p^k, k >= 2, left by _reduce_odd_part has ord_b(2)
-    dividing phi(b)/p, so 2 cannot generate (Z/b)*/{+-1}: b must be prime.
+    No composite b passes, so b is never factored: once 2^(b-1) = 1 mod b,
+    ord_b(2) divides lambda(b) and b - 1, below (b - 1)/2 for composite b, as
+    lambda(b) <= phi(b)/2 with two distinct primes and gcd(phi(p^k), p^k - 1) = p - 1.
     """
-    if primes != [b]:
+    if pow(2, b - 1, b) != 1:
         return False
     order = _order_of_2(b)
     return order == b - 1 or (2 * order == b - 1 and b % 4 == 3)
 
 
-def _h_gcd_degree(b: int, primes: list[int], a: int, c: int) -> int:
-    """D(b) from h_b's y-parts a = A and c = B, by Euclid unless _gcd_is_trivial settles it."""
-    return 0 if c and _gcd_is_trivial(b, primes) else _gcd_degree(a, c)
+def _h_gcd_degree(b: int, a0: int, b0: int, a1: int, b1: int) -> int:
+    """D(b) from the y-parts of f_m and f_{m+1}, m = (b-1)/2: Euclid unless _gcd_is_trivial."""
+    a, c = a0 ^ a1, b0 ^ b1
+    return 0 if c and _gcd_is_trivial(b) else _gcd_degree(a, c)
 
 
 def _odd_gcd_degree(b: int) -> int:
-    """D(b) for odd b, computed on h for _reduce_odd_part(b), which has the same GCD degree."""
-    b, primes = _reduce_odd_part(b)
-    a0, b0, a1, b1 = _y_pair(b >> 1)
-    return _h_gcd_degree(b, primes, a0 ^ a1, b0 ^ b1)
+    """D(b) for an odd b that _reduce_odd_part leaves unchanged (b = b*), h_b by the ladder."""
+    return _h_gcd_degree(b, *_y_pair(b >> 1))
 
 
 def _d_from(n: int, odd_gcd_degree: Callable[[int], int]) -> int:
@@ -217,7 +214,7 @@ def d_of_n(n: int) -> int:
     same GCD degree, and Euclid is skipped where _gcd_is_trivial(b*) and B != 0.
     """
     _require_side(n)
-    return _d_from(n, _odd_gcd_degree)
+    return _d_from(n, lambda b: _odd_gcd_degree(_reduce_odd_part(b)))
 
 
 def delta_closed_form(n: int) -> int:
@@ -278,11 +275,11 @@ def table(n_max: int) -> list[NullityRecord]:
     degrees = []  # degrees[m]: deg gcd(h, h(x+1)) for the odd part 2m + 1
     a0, b0, a1, b1 = 0, 0, 1, 0  # y-parts of f_m and f_{m+1}, from m = 0
     for m in range(n_max // 2 + 1):
-        b, primes = _reduce_odd_part(2 * m + 1)
+        b = _reduce_odd_part(2 * m + 1)
         if b < 2 * m + 1:
             degrees.append(degrees[b >> 1])
         else:
-            degrees.append(_h_gcd_degree(b, primes, a0 ^ a1, b0 ^ b1))
+            degrees.append(_h_gcd_degree(b, a0, b0, a1, b1))
         a0, b0, a1, b1 = a1, b1, (b1 << 1) ^ a0, a1 ^ b1 ^ b0
     return [
         NullityRecord(n, _d_from(n, lambda b: degrees[b >> 1]), delta_closed_form(n))

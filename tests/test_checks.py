@@ -52,17 +52,22 @@ def test_empty_ranges_are_refused(name, bounds):
 def test_identity_sweeps_never_read_the_factored_route(monkeypatch):
     # d_of_n reduces its GCD with the identities these sweeps check, reduces
     # the odd part by _reduce_odd_part and skips Euclid where _gcd_is_trivial
-    # says so; the sweeps' routes do none of these
+    # says so, and powers enters the same route at _odd_gcd_degree; the
+    # sweeps' routes do none of these
     def refuse(n):
         raise AssertionError("identity sweep read d_of_n")
 
-    def refuse_shortcut(b, primes):
+    def refuse_entry(b):
+        raise AssertionError("identity sweep read _odd_gcd_degree")
+
+    def refuse_shortcut(b):
         raise AssertionError("identity sweep read _gcd_is_trivial")
 
     def refuse_reduction(b):
         raise AssertionError("identity sweep read _reduce_odd_part")
 
     monkeypatch.setattr(checks, "d_of_n", refuse)
+    monkeypatch.setattr(checks, "_odd_gcd_degree", refuse_entry)
     monkeypatch.setattr(nullity, "_gcd_is_trivial", refuse_shortcut)
     with pytest.raises(AssertionError, match="_gcd_is_trivial"):
         nullity.d_of_n(8)
@@ -82,38 +87,37 @@ def test_range_sweep_stops_at_first_failure(monkeypatch):
     assert report.scope == "two routes agree for n=1..30"
 
 
+def _count_entries(monkeypatch) -> list[int]:
+    # the reduced odd parts b* at which powers enters the d route
+    calls = []
+    real = checks._odd_gcd_degree
+
+    def counted(b):
+        calls.append(b)
+        return real(b)
+
+    monkeypatch.setattr(checks, "_odd_gcd_degree", counted)
+    return calls
+
+
 def test_powers_skips_bases_above_the_degree_cap(monkeypatch):
     # a base a > degree_cap has no case for any k, so its d(a - 1) is never computed
-    calls = []
-    real = checks.d_of_n
-
-    def counted(n):
-        calls.append(n)
-        return real(n)
-
-    monkeypatch.setattr(checks, "d_of_n", counted)
+    calls = _count_entries(monkeypatch)
     wide = checks.powers(amax=401, degree_cap=9)
     # one call per distinct reduced odd part, each below the cap
     assert calls and len(calls) == len(set(calls))
-    assert max(calls) + 1 <= 9
+    assert max(calls) <= 9
     assert wide == checks.powers(amax=9, degree_cap=9)
 
 
 def test_powers_computes_one_d_per_reduced_odd_part(monkeypatch):
-    # d(a^k - 1) = d(b* - 1) for b* = _reduce_odd_part(a^k)[0], so the 88 cases
-    # under the benchmark's cap read 20 values of d_of_n, each at a fixed point
-    calls = []
-    real = checks.d_of_n
-
-    def counted(n):
-        calls.append(n)
-        return real(n)
-
-    monkeypatch.setattr(checks, "d_of_n", counted)
+    # d(a^k - 1) = d(b* - 1) for b* = _reduce_odd_part(a^k), so the 88 cases
+    # under the benchmark's cap read 20 values of d, each at a fixed point
+    calls = _count_entries(monkeypatch)
     reports = checks.powers(degree_cap=100_000)
     assert len(reports[0].cases) == 88
     assert len(calls) == len(set(calls)) == 20
-    assert all(nullity._reduce_odd_part(n + 1)[0] == n + 1 for n in calls)
+    assert all(nullity._reduce_odd_part(b) == b for b in calls)
     reference = Path(__file__).parent.parent / "perfbench" / "reference" / "powers.txt"
     with open(reference, encoding="ascii", newline="") as fh:
         assert "".join(map(to_text, reports)) == fh.read()
@@ -126,26 +130,29 @@ def test_powers_computes_one_d_per_reduced_odd_part(monkeypatch):
 def test_powers_trial_divides_only_bases_and_p_minus_1(monkeypatch):
     # b*(a^k) = gcd(a^k, C) with C from a's primes and their caps, so the
     # sweep itself trial-divides each base a and p - 1 for its primes p, all
-    # <= amax; d_of_n trial-divides its b* and b* - 1 or p - 1, never an a^k
-    # above amax (those below it are bases themselves, as 9 = 3^2)
-    real_factor, real_d = nullity._factor, checks.d_of_n
-    seen = {"sweep": [], "d_of_n": []}
+    # <= amax; the d route from b* trial-divides only b* - 1, for ord_b*(2),
+    # never b* itself nor an a^k above amax (those below it are bases
+    # themselves, as 9 = 3^2)
+    real_factor, real_entry = nullity._factor, checks._odd_gcd_degree
+    seen = {"sweep": [], "d": []}
     where = ["sweep"]
+    reduced = []
 
     def factor(m):
         seen[where[-1]].append(m)
         return real_factor(m)
 
-    def d_of_n(n):
-        where.append("d_of_n")
+    def entry(b):
+        reduced.append(b)
+        where.append("d")
         try:
-            return real_d(n)
+            return real_entry(b)
         finally:
             where.pop()
 
     monkeypatch.setattr(nullity, "_factor", factor)
     monkeypatch.setattr(checks, "_factor", factor)
-    monkeypatch.setattr(checks, "d_of_n", d_of_n)
+    monkeypatch.setattr(checks, "_odd_gcd_degree", entry)
     checks.powers(degree_cap=100_000)
     bases = [a for a in range(3, 52, 2) if a % 21]
     odd_primes = [p for p in range(3, 52, 2) if all(p % q for q in range(3, p, 2))]
@@ -153,7 +160,10 @@ def test_powers_trial_divides_only_bases_and_p_minus_1(monkeypatch):
     assert set(seen["sweep"]) == set(bases) | p_minus_1
     assert max(seen["sweep"]) <= 51
     higher_powers = {a**k for a in bases for k in range(2, 18) if 51 < a**k <= 100_000}
-    assert seen["d_of_n"] and not higher_powers & set(seen["sweep"] + seen["d_of_n"])
+    assert seen["d"] and not higher_powers & set(seen["sweep"] + seen["d"])
+    # no b* is factored by the d route, nor anywhere unless it is a base
+    assert len(reduced) == 20 and not set(reduced) & set(seen["d"])
+    assert not (set(reduced) - set(bases)) & set(seen["sweep"])
 
 
 def test_delta_runs_no_euclid(monkeypatch):

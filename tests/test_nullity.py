@@ -164,8 +164,8 @@ def test_trivial_gcd_predicate_agrees_with_euclid():
     # D(b) is 0 unless b*'s B = 0, when it is deg A's double for b*'s A
     fired = []
     for b in range(3, 10_002, 2):
-        reduced, primes = _reduce_odd_part(b)
-        if _gcd_is_trivial(reduced, primes):
+        reduced = _reduce_odd_part(b)
+        if _gcd_is_trivial(reduced):
             a, c = _h_parts(reduced)
             assert _gcd_degree(*_h_parts(b)) == (0 if c else _gcd_degree(a, 0)), f"b={b}"
             fired.append(b)
@@ -180,7 +180,7 @@ def test_trivial_gcd_predicate_agrees_with_euclid():
     # from Euclid)
     assert 25 in fired
     for b in (25, 63, 171, 585, 1025, 1093**2):
-        assert not _gcd_is_trivial(b, list(_factor(b))), f"b={b}"
+        assert not _gcd_is_trivial(b), f"b={b}"
 
 
 def _two_and_minus_one_generate(b: int) -> bool:
@@ -195,23 +195,44 @@ def _two_and_minus_one_generate(b: int) -> bool:
 def test_trivial_gcd_predicate_matches_the_group_of_2_and_minus_1():
     # for prime b, the predicate fires exactly when 2 and -1 generate (Z/b)*,
     # which the brute force finds with no order, factoring or quadratic residue;
-    # b is prime when no smaller prime divides it
-    primes = []
+    # b is prime when no smaller prime divides it.  The predicate is given b
+    # alone, so it must refuse every composite, the base-2 pseudoprimes among them
+    primes, pseudoprimes = [], []
     for b in range(3, 10_008, 2):
         is_prime = all(b % p for p in primes if p * p <= b)
         if is_prime:
             primes.append(b)
+        elif pow(2, b - 1, b) == 1:
+            pseudoprimes.append(b)
         fires = is_prime and _two_and_minus_one_generate(b)
-        assert _gcd_is_trivial(b, list(_factor(b))) == fires, f"b={b}"
+        assert _gcd_is_trivial(b) == fires, f"b={b}"
     assert primes[-1] == 10_007 and len(primes) == 1229
+    assert pseudoprimes[:3] == [341, 561, 645] and len(pseudoprimes) == 22
+    # Wieferich squares pass the Fermat test too; the order test refuses them
+    for b in (1093**2, 3511**2):
+        assert pow(2, b - 1, b) == 1 and not _gcd_is_trivial(b), f"b={b}"
+
+
+@pytest.mark.slow
+def test_trivial_gcd_predicate_refuses_pseudoprimes_to_2000001():
+    # every base-2 pseudoprime below d's limit: the odd composites, found by a
+    # sieve, that pass the Fermat test
+    limit = 2_000_001
+    composite = bytearray(limit)
+    for p in range(3, 1415, 2):
+        if not composite[p]:
+            composite[p * p :: 2 * p] = b"\x01" * len(range(p * p, limit, 2 * p))
+    pseudoprimes = [b for b in range(3, limit, 2) if composite[b] and pow(2, b - 1, b) == 1]
+    assert pseudoprimes[0] == 341 and len(pseudoprimes) == 354
+    assert not any(map(_gcd_is_trivial, pseudoprimes))
 
 
 def _check_predicate_at_prime(b: int, fires: bool) -> None:
     # the predicate's verdict on a prime b, against the brute force, and
     # Euclid on h_b where it fires
-    assert _reduce_odd_part(b) == (b, [b])
+    assert _reduce_odd_part(b) == b and list(_factor(b)) == [b]
     assert _two_and_minus_one_generate(b) == fires, f"b={b}"
-    assert _gcd_is_trivial(b, [b]) == fires, f"b={b}"
+    assert _gcd_is_trivial(b) == fires, f"b={b}"
     if fires:
         a, c = _h_parts(b)
         assert c and _gcd_degree(a, c) == 0, f"b={b}"
@@ -238,8 +259,8 @@ def test_trivial_gcd_predicate_at_large_prime_powers():
     # p^k reduces to p, where 2 generates (Z/p)*/{+-1}: no Euclid, and Euclid
     # on h for p^k agrees
     for b in (3**12, 7**6, 11**5, 19**4, 23**4, 47**3):
-        reduced, primes = _reduce_odd_part(b)
-        assert _gcd_is_trivial(reduced, primes) and _h_parts(reduced)[1], f"b={b}"
+        reduced = _reduce_odd_part(b)
+        assert _gcd_is_trivial(reduced) and _h_parts(reduced)[1], f"b={b}"
         a, c = _h_parts(b)
         assert c and _gcd_degree(a, c) == 0, f"b={b}"
 
@@ -249,8 +270,8 @@ def _check_reduction(bmax: int) -> dict[int, int]:
     # its primes, and is a fixed point once lowered
     reduced = {}
     for b in range(3, bmax + 1, 2):
-        r, primes = _reduce_odd_part(b)
-        assert _reduce_odd_part(r) == (r, primes), f"b={b}"
+        r = _reduce_odd_part(b)
+        assert _reduce_odd_part(r) == r and _factor(r).keys() == _factor(b).keys(), f"b={b}"
         if r < b:
             assert _gcd_degree(*_h_parts(b)) == _gcd_degree(*_h_parts(r)), f"b={b}"
             reduced[b] = r
@@ -262,11 +283,11 @@ def test_reduction_keeps_the_gcd_degree():
     assert len(reduced) == 715
     assert reduced[3249] == 171  # 57^2: the powers counterexample's odd part
     assert reduced[5**5] == 5 and reduced[3**8] == 3
-    assert _reduce_odd_part(91125) == (15, [3, 5])  # 3^6 5^3
+    assert _reduce_odd_part(91125) == 15  # 3^6 5^3
     # where the order of 2 does not grow: the non-squarefree L with e(L) > 0,
     # 117 and 275, and 1093^2
     for b in (63, 117, 171, 275, 585, 1025, 1093**2):
-        assert _reduce_odd_part(b)[0] == b, f"b={b}"
+        assert _reduce_odd_part(b) == b, f"b={b}"
 
 
 @pytest.mark.slow
@@ -316,7 +337,7 @@ def _check_caps(amax: int, kmax: int = 8) -> None:
         for k in range(1, kmax + 1):
             capped = math.prod(p ** min(k * e, caps[p]) for p, e in factors.items())
             assert capped == math.gcd(a**k, cap) == _iterative_reduction(a**k), f"a={a};k={k}"
-            assert capped == _reduce_odd_part(a**k)[0], f"a={a};k={k}"
+            assert capped == _reduce_odd_part(a**k), f"a={a};k={k}"
 
 
 def test_caps_match_the_iterative_reduction():
@@ -332,7 +353,7 @@ def test_reduction_stops_at_the_wieferich_square():
     # 2^(p-1) = 1 mod p^2 at p = 1093 and 3511, so w_p = 1 and c_p = 2:
     # p^3 reduces to p^2, not to p, alone or beside 3
     for b, reduced in ((1093**3, 1093**2), (3511**3, 3511**2), (3 * 1093**3, 3 * 1093**2)):
-        assert _reduce_odd_part(b)[0] == reduced == _iterative_reduction(b), f"b={b}"
+        assert _reduce_odd_part(b) == reduced == _iterative_reduction(b), f"b={b}"
 
 
 def test_reduced_route_matches_unreduced_gcd_at_powers():
@@ -343,7 +364,7 @@ def test_reduced_route_matches_unreduced_gcd_at_powers():
     for a in range(3, 52, 2):
         if a % 21:
             odd_parts.update(a**k for k in range(1, 11) if a**k <= 100_000)
-    checked = [b for b in sorted(odd_parts) if _reduce_odd_part(b)[0] < b]
+    checked = [b for b in sorted(odd_parts) if _reduce_odd_part(b) < b]
     for b in checked:
         assert d_of_n(b - 1) == _d_and_delta(b - 1)[0], f"n={b - 1}"
     assert checked[-1] > 50_000

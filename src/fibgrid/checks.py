@@ -9,7 +9,8 @@ order `verify all` runs them.
 Which route each sweep reads: d_of_n, the factored fast route, is checked by
 `oracle` against `GridSystem`'s light chasing, which runs f_{n+1}'s recurrence
 at the line operator with no polygf2 kernel, GCD, ladder or y-basis; `all2`
-tests d_of_n, and `powers` the same route from the reduced odd part b* on.
+tests d_of_n, and `powers` the same route from the reduced odd parts b* on,
+all in one call to _odd_degrees, the helper that builds h for d_of_n.
 `recurrence`, `delta` and `equivalence` check identities that this route uses
 to factor f_{n+1}, so they never read it: `recurrence` and `equivalence` read
 `_d_and_delta`, and `delta` reads `delta_via_gcd`, which build the unreduced
@@ -25,13 +26,12 @@ one line.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import namedtuple
 
 from .fibpoly import fib_hmp
 from .grid import GridSystem
-from .nullity import _cap, _d_and_delta, _d_from, _factor, _odd_gcd_degree, d_of_n
+from .nullity import _cap, _d_and_delta, _d_from, _factor, _odd_degrees, d_of_n
 from .nullity import delta_closed_form, delta_via_gcd
 from .polygf2 import PolyGF2, gcd, ore_product_gcd
 
@@ -190,7 +190,8 @@ def all2(*, kmax: int = 8) -> list[Report]:
 
     d_of_n runs no Euclid here: n + 1 = 2 * 3^k has odd part 3^k, which
     _reduce_odd_part takes down to 3 with the same GCD degree, and there
-    _gcd_is_trivial proves gcd(h, h(x+1)) = 1, so d = 2 for every k.  The
+    _gcd_is_trivial proves gcd(h, h(x+1)) = 1, so d = 2 for every k; h for
+    b* = 3 is one recurrence step from f_0, with no ladder.  The
     independent checks are `equivalence`, which takes d_{2*3^k - 1} by Euclid
     on the unreduced f_{n+1} (k <= 8 by default), and `oracle`, by light
     chasing (n = 5, 17 and 53 under its default nmax).
@@ -220,32 +221,37 @@ def powers(*, amax: int = 51, kmax: int = 17, degree_cap: int = 200_000) -> list
     primes alone, give C = prod p^c_p once, and b*(a^k) = gcd(a^k, C) =
     prod p^min(k e_p, c_p), so no a^k is trial-divided.  So 57^2 reaches 171,
     and every power of a prime a reaches a unless 2^(a-1) = 1 mod a^2, as for
-    a = 1093.  d(b* - 1) is read from b* on (_odd_gcd_degree), as d_of_n
-    would read it but with no second factoring, since b* is a fixed point of
-    the reduction; it runs once per distinct b*, and at degree_cap 100,000 the
-    88 default cases reach 20.  The independent checks are `oracle`, by light
+    a = 1093.  Every b* is collected first, and one _odd_degrees call reads
+    D(b*), as d_of_n would but with no second factoring, since b* is a fixed
+    point of the reduction.  It runs once per distinct b*, in ascending order,
+    each h a few recurrence steps from the last where d_of_n alone would run
+    the ladder; at degree_cap 100,000 the 88 default cases reach 20 b*, none
+    above 117.  The independent checks are `oracle`, by light
     chasing, and a Tier-1 test that takes d(a^k - 1) by Euclid on the
     unreduced f_{a^k} wherever the reduction applies, for a^k <= 100,000.
     """
     _require("amax", amax, 3)
     _require("kmax", kmax)
     _require("degree_cap", degree_cap, 3)
-    # n + 1 = a^k is odd and 3 | b* exactly when 3 | a^k, so _d_from gives
-    # d(a^k - 1) = d(b* - 1); d_at runs Euclid at most once per b* in this call
-    d_at = functools.cache(lambda b: _d_from(b - 1, _odd_gcd_degree))
-    cases = []
+    reduced = {}  # a: [b*(a^k) for k = 1, 2, ... while a^k <= degree_cap]
     for a in range(3, min(amax, degree_cap) + 1, 2):  # a > degree_cap has no case
         if a % 21 == 0:
             continue  # outside the conjecture's hypothesis
         cap = _cap(list(_factor(a)))
-        base = d_at(math.gcd(a, cap))
-        power = 1
-        for k in range(1, kmax + 1):
+        reduced[a] = []
+        power = a
+        while power <= degree_cap and len(reduced[a]) < kmax:
+            reduced[a].append(math.gcd(power, cap))
             power *= a
-            if power > degree_cap:
-                break
-            d = d_at(math.gcd(power, cap))
-            cases.append(Case(f"a={a};k={k};n={power - 1}", base, d))
+    degrees = _odd_degrees({b for parts in reduced.values() for b in parts})
+    # n + 1 = a^k is odd and 3 | b* exactly when 3 | a^k, so _d_from gives
+    # d(a^k - 1) = d(b* - 1)
+    d = {b: _d_from(b - 1, degrees.__getitem__) for b in degrees}
+    cases = [
+        Case(f"a={a};k={k};n={a**k - 1}", d[parts[0]], d[b])
+        for a, parts in reduced.items()
+        for k, b in enumerate(parts, 1)
+    ]
     return [Report("powers", tuple(cases))]
 
 

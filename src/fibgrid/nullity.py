@@ -10,15 +10,17 @@ together.
 
 Every f_m is built in the basis {1, x} of GF(2)[x] over GF(2)[y],
 y = x^2 + x, as f_m = A_m(y) + x B_m(y), and never in x: _y_pair runs the
-doubling ladder on (A, B) pairs, and table streams them by the defining
-recurrence.  y is fixed by x -> x+1, so for p = A(y) + x B(y),
-deg gcd(p(x), p(x+1)) = 2 deg gcd(A, B), one Euclid at half the degree of
-p (_gcd_degree).  d_of_n takes it on a factor h of f_{n+1} at half the degree
-of the odd part b of n + 1, after two number-theory steps sharing one ord(2)
-helper (_order_of_2): _reduce_odd_part lowers each exponent e_p of b to
-min(e_p, c_p), caps set by b's primes alone, keeping the GCD's degree, and on
-the b* it reaches (_odd_gcd_degree, where `powers` enters) Euclid is skipped if
-_gcd_is_trivial, from b* alone, finds a prime with 2 generating (Z/b*)*/{+-1}.
+doubling ladder on (A, B) pairs.  y is fixed by x -> x+1, so for
+p = A(y) + x B(y), deg gcd(p(x), p(x+1)) = 2 deg gcd(A, B), one Euclid at
+half the degree of p (_gcd_degree).  d_of_n takes it on a factor h of f_{n+1}
+at half the degree of the odd part b of n + 1, after two number-theory steps
+sharing one ord(2) helper (_order_of_2): _reduce_odd_part lowers each
+exponent e_p of b to min(e_p, c_p), caps set by b's primes alone, keeping the
+GCD's degree, and on the b* it reaches Euclid is skipped if _gcd_is_trivial,
+from b* alone, finds a prime with 2 generating (Z/b*)*/{+-1}.  One helper
+builds h for the b* of d_of_n, table and `powers` alike (_odd_degrees): it
+steps the y-parts by the defining recurrence from one b* to the next, and
+jumps by the ladder only across a gap of more than _LADDER_GAP steps.
 _d_and_delta takes it on the unreduced f_{n+1}, always by Euclid; it is the
 reference that the identity sweeps (recurrence, equivalence) read, because
 d_of_n's factoring rests on those same identities and the basis does not.
@@ -182,21 +184,46 @@ def _gcd_is_trivial(b: int) -> bool:
 
 
 def _h_gcd_degree(b: int, a0: int, b0: int, a1: int, b1: int) -> int:
-    """D(b) from the y-parts of f_m and f_{m+1}, m = (b-1)/2: Euclid unless _gcd_is_trivial."""
+    """D(b) from the y-parts of f_m and f_{m+1}, m = (b-1)/2: Euclid unless _gcd_is_trivial.
+
+    _odd_degrees hands it the y-parts, stepped or from the ladder.
+    """
     a, c = a0 ^ a1, b0 ^ b1
     return 0 if c and _gcd_is_trivial(b) else _gcd_degree(a, c)
 
 
-def _odd_gcd_degree(b: int) -> int:
-    """D(b) for an odd b that _reduce_odd_part leaves unchanged (b = b*), h_b by the ladder."""
-    return _h_gcd_degree(b, *_y_pair(b >> 1))
+# Past this many recurrence steps, one _y_pair(m) is cheaper.  On CPython 3.11
+# (shared 2-vCPU x86-64 machine) the crossover was about 150-280 steps for
+# m <= 5,000, 120 at 30,000 and 70-76 from 600,000 to 1,000,000.
+_LADDER_GAP = 64
 
 
-def _d_from(n: int, odd_gcd_degree: Callable[[int], int]) -> int:
-    """d_n assembled from odd_gcd_degree(b), b the odd part of n + 1."""
+def _odd_degrees(bs: Iterable[int]) -> dict[int, int]:
+    """{b: D(b)} for odd b that _reduce_odd_part leaves unchanged (b = b*).
+
+    The b are taken in ascending order, and h_b = f_m + f_{m+1}, m = (b-1)/2,
+    is reached from the last b's y-parts by the recurrence: x^2 = x + y turns
+    f_{m+1} = x f_m + f_{m-1} into A_{m+1} = y B_m + A_{m-1} and
+    B_{m+1} = A_m + B_m + B_{m-1}.  Across more than _LADDER_GAP steps, the
+    ladder (_y_pair) starts afresh at m.
+    """
+    degrees = {}
+    m, a0, b0, a1, b1 = 0, 0, 0, 1, 0  # y-parts of f_m and f_{m+1}, from m = 0
+    for b in sorted(set(bs)):
+        if (b >> 1) - m > _LADDER_GAP:
+            m, (a0, b0, a1, b1) = b >> 1, _y_pair(b >> 1)
+        for _ in range(m, b >> 1):
+            a0, b0, a1, b1 = a1, b1, (b1 << 1) ^ a0, a1 ^ b1 ^ b0
+        m = b >> 1
+        degrees[b] = _h_gcd_degree(b, a0, b0, a1, b1)
+    return degrees
+
+
+def _d_from(n: int, degree_of: Callable[[int], int]) -> int:
+    """d_n assembled from D(b) = degree_of(b), b the odd part of n + 1, read from _odd_degrees."""
     k = ((n + 1) & -(n + 1)).bit_length() - 1
     b = (n + 1) >> k
-    d = odd_gcd_degree(b) << (k + 1)
+    d = degree_of(b) << (k + 1)
     return d + 2 * ((1 << k) - 1) if b % 3 == 0 else d
 
 
@@ -204,17 +231,19 @@ def d_of_n(n: int) -> int:
     """Nullity of the n x n toggle system: deg gcd(f_{n+1}(x), f_{n+1}(x+1)).
 
     Computed on a factored f_{n+1}: with n+1 = 2^k * b, b odd, and
-    h = f_m + f_{m+1} for m = (b-1)/2, the ladder gives f_b = h^2 and
-    f_{n+1} = x^(2^k - 1) * h^(2^(k+1)).  x never divides f_b, and x+1
+    h = f_m + f_{m+1} for m = (b-1)/2, the doubling identities give f_b = h^2
+    and f_{n+1} = x^(2^k - 1) * h^(2^(k+1)).  x never divides f_b, and x+1
     divides it exactly when 3 | b (f_b(1) is the Fibonacci number F_b mod 2),
     so the GCD is gcd(h, h(x+1))^(2^(k+1)) times (x^2 + x)^(2^k - 1) when
-    3 | b.  The ladder builds h as A(y) + x B(y), y = x^2 + x (_y_pair), and
-    its degree is twice that of gcd(A, B), a Euclid at half the degree of h
-    (_gcd_degree).  All of this runs on h for b* = _reduce_odd_part(b), with the
-    same GCD degree, and Euclid is skipped where _gcd_is_trivial(b*) and B != 0.
+    3 | b.  h is built as A(y) + x B(y), y = x^2 + x, and its degree is twice
+    that of gcd(A, B), a Euclid at half the degree of h (_gcd_degree).  All of
+    this runs on h for b* = _reduce_odd_part(b), with the same GCD degree, and
+    Euclid is skipped where _gcd_is_trivial(b*) and B != 0.  _odd_degrees
+    builds h by recurrence steps from f_0 when m <= _LADDER_GAP for b*, and by
+    the ladder (_y_pair) above that.
     """
     _require_side(n)
-    return _d_from(n, lambda b: _odd_gcd_degree(_reduce_odd_part(b)))
+    return _d_from(n, lambda b: _odd_degrees([b := _reduce_odd_part(b)])[b])
 
 
 def delta_closed_form(n: int) -> int:
@@ -265,24 +294,16 @@ def table(n_max: int) -> list[NullityRecord]:
     """Records for every n in 1..n_max, in order.
 
     Rows whose n + 1 share an odd part 2m + 1 share one GCD, on h = f_m +
-    f_{m+1}, where d_of_n runs the ladder.  An odd part that _reduce_odd_part
-    lowers reads the degree of the part it reaches and runs no Euclid.  The
-    recurrence streams the same y-parts f_m = A_m(y) + x B_m(y) as _y_pair:
-    x^2 = x + y turns f_{m+1} = x f_m + f_{m-1} into A_{m+1} = y B_m + A_{m-1}
-    and B_{m+1} = A_m + B_m + B_{m-1}.
+    f_{m+1}, and odd parts that _reduce_odd_part takes to one b* share it too.
+    One _odd_degrees call takes every b* in ascending order, each a few
+    recurrence steps from the last, where d_of_n alone would run the ladder
+    past _LADDER_GAP steps.
     """
     _require_side(n_max)
-    degrees = []  # degrees[m]: deg gcd(h, h(x+1)) for the odd part 2m + 1
-    a0, b0, a1, b1 = 0, 0, 1, 0  # y-parts of f_m and f_{m+1}, from m = 0
-    for m in range(n_max // 2 + 1):
-        b = _reduce_odd_part(2 * m + 1)
-        if b < 2 * m + 1:
-            degrees.append(degrees[b >> 1])
-        else:
-            degrees.append(_h_gcd_degree(b, a0, b0, a1, b1))
-        a0, b0, a1, b1 = a1, b1, (b1 << 1) ^ a0, a1 ^ b1 ^ b0
+    reduced = [_reduce_odd_part(b) for b in range(1, n_max + 2, 2)]  # b* of each odd part b
+    degrees = _odd_degrees(reduced)
     return [
-        NullityRecord(n, _d_from(n, lambda b: degrees[b >> 1]), delta_closed_form(n))
+        NullityRecord(n, _d_from(n, lambda b: degrees[reduced[b >> 1]]), delta_closed_form(n))
         for n in range(1, n_max + 1)
     ]
 

@@ -52,13 +52,13 @@ def test_empty_ranges_are_refused(name, bounds):
 def test_identity_sweeps_never_read_the_factored_route(monkeypatch):
     # d_of_n reduces its GCD with the identities these sweeps check, reduces
     # the odd part by _reduce_odd_part and skips Euclid where _gcd_is_trivial
-    # says so, and powers enters the same route at _odd_gcd_degree; the
-    # sweeps' routes do none of these
+    # says so, and powers enters the same route at _odd_degrees; the sweeps'
+    # routes do none of these
     def refuse(n):
         raise AssertionError("identity sweep read d_of_n")
 
-    def refuse_entry(b):
-        raise AssertionError("identity sweep read _odd_gcd_degree")
+    def refuse_entry(bs):
+        raise AssertionError("identity sweep read _odd_degrees")
 
     def refuse_shortcut(b):
         raise AssertionError("identity sweep read _gcd_is_trivial")
@@ -67,7 +67,7 @@ def test_identity_sweeps_never_read_the_factored_route(monkeypatch):
         raise AssertionError("identity sweep read _reduce_odd_part")
 
     monkeypatch.setattr(checks, "d_of_n", refuse)
-    monkeypatch.setattr(checks, "_odd_gcd_degree", refuse_entry)
+    monkeypatch.setattr(checks, "_odd_degrees", refuse_entry)
     monkeypatch.setattr(nullity, "_gcd_is_trivial", refuse_shortcut)
     with pytest.raises(AssertionError, match="_gcd_is_trivial"):
         nullity.d_of_n(8)
@@ -87,16 +87,16 @@ def test_range_sweep_stops_at_first_failure(monkeypatch):
     assert report.scope == "two routes agree for n=1..30"
 
 
-def _count_entries(monkeypatch) -> list[int]:
-    # the reduced odd parts b* at which powers enters the d route
+def _count_entries(monkeypatch) -> list[list[int]]:
+    # per call, the reduced odd parts b* at which powers enters the d route
     calls = []
-    real = checks._odd_gcd_degree
+    real = checks._odd_degrees
 
-    def counted(b):
-        calls.append(b)
-        return real(b)
+    def counted(bs):
+        calls.append(list(bs))
+        return real(calls[-1])
 
-    monkeypatch.setattr(checks, "_odd_gcd_degree", counted)
+    monkeypatch.setattr(checks, "_odd_degrees", counted)
     return calls
 
 
@@ -104,9 +104,10 @@ def test_powers_skips_bases_above_the_degree_cap(monkeypatch):
     # a base a > degree_cap has no case for any k, so its d(a - 1) is never computed
     calls = _count_entries(monkeypatch)
     wide = checks.powers(amax=401, degree_cap=9)
-    # one call per distinct reduced odd part, each below the cap
-    assert calls and len(calls) == len(set(calls))
-    assert max(calls) <= 9
+    # one call, for distinct reduced odd parts, each below the cap
+    (entered,) = calls
+    assert entered and len(entered) == len(set(entered))
+    assert max(entered) <= 9
     assert wide == checks.powers(amax=9, degree_cap=9)
 
 
@@ -116,8 +117,9 @@ def test_powers_computes_one_d_per_reduced_odd_part(monkeypatch):
     calls = _count_entries(monkeypatch)
     reports = checks.powers(degree_cap=100_000)
     assert len(reports[0].cases) == 88
-    assert len(calls) == len(set(calls)) == 20
-    assert all(nullity._reduce_odd_part(b) == b for b in calls)
+    (entered,) = calls
+    assert len(entered) == len(set(entered)) == 20
+    assert all(nullity._reduce_odd_part(b) == b for b in entered)
     reference = Path(__file__).parent.parent / "perfbench" / "reference" / "powers.txt"
     with open(reference, encoding="ascii", newline="") as fh:
         assert "".join(map(to_text, reports)) == fh.read()
@@ -133,7 +135,7 @@ def test_powers_trial_divides_only_bases_and_p_minus_1(monkeypatch):
     # <= amax; the d route from b* trial-divides only b* - 1, for ord_b*(2),
     # never b* itself nor an a^k above amax (those below it are bases
     # themselves, as 9 = 3^2)
-    real_factor, real_entry = nullity._factor, checks._odd_gcd_degree
+    real_factor, real_entry = nullity._factor, checks._odd_degrees
     seen = {"sweep": [], "d": []}
     where = ["sweep"]
     reduced = []
@@ -142,17 +144,17 @@ def test_powers_trial_divides_only_bases_and_p_minus_1(monkeypatch):
         seen[where[-1]].append(m)
         return real_factor(m)
 
-    def entry(b):
-        reduced.append(b)
+    def entry(bs):
+        reduced.extend(bs)
         where.append("d")
         try:
-            return real_entry(b)
+            return real_entry(reduced)
         finally:
             where.pop()
 
     monkeypatch.setattr(nullity, "_factor", factor)
     monkeypatch.setattr(checks, "_factor", factor)
-    monkeypatch.setattr(checks, "_odd_gcd_degree", entry)
+    monkeypatch.setattr(checks, "_odd_degrees", entry)
     checks.powers(degree_cap=100_000)
     bases = [a for a in range(3, 52, 2) if a % 21]
     odd_primes = [p for p in range(3, 52, 2) if all(p % q for q in range(3, p, 2))]

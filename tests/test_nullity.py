@@ -22,13 +22,17 @@ from fibgrid import (
     subst_x_plus_1,
     table,
 )
+from fibgrid import nullity
 from fibgrid.checks import all2, powers, recurrence
 from fibgrid.nullity import (
+    _LADDER_GAP,
     _cap,
     _d_and_delta,
     _factor,
     _gcd_degree,
     _gcd_is_trivial,
+    _h_gcd_degree,
+    _odd_degrees,
     _reduce_odd_part,
     _y_pair,
 )
@@ -109,10 +113,72 @@ def test_factored_route_matches_unreduced_gcd():
 
 
 def test_table_shares_gcds_without_changing_rows():
-    # table computes each odd part's GCD once; every row must match d_of_n alone
+    # table computes each odd part's GCD once; every row must match d_of_n
+    # alone, which steps to b* <= 2 _LADDER_GAP + 1 from f_0 as table does and
+    # reaches the larger b* by the ladder
     assert table(3000) == [
         NullityRecord(n, d_of_n(n), delta_closed_form(n)) for n in range(1, 3001)
     ]
+
+
+def _y_parts_reached(monkeypatch, bs) -> tuple[dict, list[int]]:
+    # the y-parts _odd_degrees hands to _h_gcd_degree for each b, with no
+    # Euclid, and the m at which it ran the ladder
+    parts, ladders = {}, []
+
+    def record(b, *y_parts):
+        parts[b] = y_parts
+        return 0
+
+    def ladder(m):
+        ladders.append(m)
+        return _y_pair(m)
+
+    monkeypatch.setattr(nullity, "_h_gcd_degree", record)
+    monkeypatch.setattr(nullity, "_y_pair", ladder)
+    _odd_degrees(bs)
+    return parts, ladders
+
+
+def test_stepped_y_parts_match_the_ladder_to_3000(monkeypatch):
+    # one recurrence step per odd b from (A_0, B_0, A_1, B_1) = (0, 0, 1, 0);
+    # _y_pair is checked against the binomial form above
+    parts, ladders = _y_parts_reached(monkeypatch, range(1, 6002, 2))
+    assert ladders == []
+    for m in range(3001):
+        assert parts[2 * m + 1] == _y_pair(m), f"m={m}"
+
+
+@pytest.mark.parametrize("gap", [_LADDER_GAP - 1, _LADDER_GAP, _LADDER_GAP + 1])
+def test_odd_degrees_step_within_the_gap_and_jump_past_it(monkeypatch, gap):
+    # b = 2m + 1 for m = gap, 2 gap, ..., each gap steps after the last b, and
+    # from m = 0 for the first; in any order and with repeats
+    bs = [2 * m + 1 for m in range(gap, 30 * gap, gap)]
+    expected = {b: _h_gcd_degree(b, *_y_pair(b >> 1)) for b in bs}
+    assert _odd_degrees(bs[::-1] + bs[:3]) == expected
+    parts, ladders = _y_parts_reached(monkeypatch, bs)
+    assert ladders == ([b >> 1 for b in bs] if gap > _LADDER_GAP else [])
+    assert parts == {b: _y_pair(b >> 1) for b in bs}
+
+
+def test_odd_degrees_of_a_lone_b_on_either_side_of_the_gap(monkeypatch):
+    # d_of_n's single b* is stepped to from f_0 up to m = _LADDER_GAP
+    for b, ladders in ((2 * _LADDER_GAP + 1, []), (2 * _LADDER_GAP + 3, [_LADDER_GAP + 1])):
+        assert _odd_degrees([b]) == {b: _h_gcd_degree(b, *_y_pair(b >> 1))}
+        assert _y_parts_reached(monkeypatch, [b])[1] == ladders
+        monkeypatch.undo()
+
+
+@pytest.mark.slow
+def test_odd_degrees_at_the_wieferich_square(monkeypatch):
+    # 1093^2 does not reduce, so d_1194648 runs Euclid on h at full size, after
+    # the ladder; stepped to from _LADDER_GAP steps below, h has the same y-parts
+    b = 1093**2
+    assert _odd_degrees([b]) == {b: _h_gcd_degree(b, *_y_pair(b >> 1))} == {b: 0}
+    below = b - 2 * _LADDER_GAP
+    parts, ladders = _y_parts_reached(monkeypatch, [below, b])
+    assert ladders == [below >> 1]
+    assert parts[b] == _y_pair(b >> 1)
 
 
 def _check_factor(m: int, primes: list[int]) -> None:
@@ -372,7 +438,8 @@ def test_reduced_route_matches_unreduced_gcd_at_powers():
 
 @pytest.mark.slow
 def test_streamed_table_matches_ladder_rows_to_12000():
-    # table streams h by the recurrence; d_of_n builds it by the ladder
+    # table streams h by the recurrence; d_of_n builds it by the ladder for
+    # every b* past 2 _LADDER_GAP + 1
     assert table(12000) == [
         NullityRecord(n, d_of_n(n), delta_closed_form(n)) for n in range(1, 12001)
     ]

@@ -33,7 +33,7 @@ from .fibpoly import fib_hmp
 from .grid import GridSystem
 from .nullity import _cap, _d_and_delta, _d_from, _factor, _odd_degrees, d_of_n
 from .nullity import delta_closed_form, delta_via_gcd
-from .polygf2 import PolyGF2, gcd, ore_product_gcd
+from .polygf2 import PolyGF2, gcd
 
 __all__ = [
     "Case",
@@ -151,26 +151,6 @@ def hmp_gcd(*, nmax: int = 2000, trials: int = 1000, seed: int = 1) -> list[Repo
     return [_sweep("hmp-gcd", f"{trials} random pairs <= {nmax}, seed {seed}", triples)]
 
 
-def ore(*, trials: int = 10000, seed: int = 1) -> list[Report]:
-    """The factored product GCD against gcd(ab, cd) on random quartets, degrees <= 256."""
-    _require("trials", trials)
-    import random  # deferred, as in hmp_gcd
-
-    rng = random.Random(seed)
-
-    def poly() -> PolyGF2:
-        d = rng.randint(0, 256)
-        return PolyGF2(rng.getrandbits(d) | (1 << d))
-
-    def trial() -> tuple[str, PolyGF2, PolyGF2]:
-        a, b, c, d = poly(), poly(), poly(), poly()
-        params = f"a={a.to_hex()};b={b.to_hex()};c={c.to_hex()};d={d.to_hex()}"
-        return params, gcd(a * b, c * d), ore_product_gcd(a, b, c, d)
-
-    triples = (trial() for _ in range(trials))
-    return [_sweep("ore", f"{trials} random quartets, degrees <= 256, seed {seed}", triples)]
-
-
 def oracle(*, nmax: int = 64) -> list[Report]:
     """d_n by the GCD route against the light-chasing nullity, n = 1..nmax.
 
@@ -280,7 +260,6 @@ SWEEPS = {
     "recurrence": recurrence,
     "delta": delta,
     "hmp-gcd": hmp_gcd,
-    "ore": ore,
     "oracle": oracle,
     "all2": all2,
     "powers": powers,

@@ -14,7 +14,6 @@ __all__ = [
     "PolyGF2",
     "gcd",
     "subst_x_plus_1",
-    "ore_product_gcd",
 ]
 
 
@@ -281,18 +280,3 @@ def subst_x_plus_1(p: PolyGF2) -> PolyGF2:
     A ring homomorphism and an involution, since (x+1)+1 is x again.
     """
     return PolyGF2(_subst_bits(p.bits))
-
-
-def ore_product_gcd(a: PolyGF2, b: PolyGF2, c: PolyGF2, d: PolyGF2) -> PolyGF2:
-    """gcd(a*b, c*d) assembled from four pairwise GCDs of smaller operands.
-
-    Evaluates (a,c) (b,d) (a/(a,c), d/(b,d)) (c/(a,c), b/(b,d)), writing
-    (u,v) for gcd(u, v); all four operands must be nonzero.
-    """
-    if not (a.bits and b.bits and c.bits and d.bits):
-        raise ValueError("operands must be nonzero")
-    g1 = _gcd_bits(a.bits, c.bits)
-    g2 = _gcd_bits(b.bits, d.bits)
-    t1 = _gcd_bits(_divmod_bits(a.bits, g1)[0], _divmod_bits(d.bits, g2)[0])
-    t2 = _gcd_bits(_divmod_bits(c.bits, g1)[0], _divmod_bits(b.bits, g2)[0])
-    return PolyGF2(_mul_bits(_mul_bits(g1, g2), _mul_bits(t1, t2)))

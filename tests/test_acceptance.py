@@ -8,6 +8,7 @@ with wall-clock budgets assert them directly.
 
 from __future__ import annotations
 
+import random
 import resource
 import time
 from math import comb
@@ -15,16 +16,19 @@ from pathlib import Path
 
 from fibgrid import (
     LightState,
+    PolyGF2,
     d_of_n,
     fib_binomial,
     fib_hmp,
     fib_sequence,
+    gcd,
     render,
     to_pbm,
     to_text,
 )
-from fibgrid.checks import all2, delta, hmp_gcd, oracle, ore, powers, recurrence
+from fibgrid.checks import all2, delta, hmp_gcd, oracle, powers, recurrence
 from fibgrid.cli import main
+from product_gcd import factored_product_gcd
 from reference_grid import EliminationGrid
 
 DATA = Path(__file__).parent / "data"
@@ -101,8 +105,17 @@ def test_c07_family_gcd_law_random_pairs():
 
 
 def test_c08_factored_gcd_random_quartets():
-    (report,) = ore(trials=10_000, seed=8)
-    assert _passes(report) == 10_000
+    rng = random.Random(8)
+
+    def poly():
+        deg = rng.randint(0, 256)
+        return PolyGF2(rng.getrandbits(deg) | (1 << deg))
+
+    for _ in range(10_000):
+        a, b, c, d = poly(), poly(), poly(), poly()
+        assert factored_product_gcd(a, b, c, d) == gcd(a * b, c * d), (
+            f"a={a.to_hex()};b={b.to_hex()};c={c.to_hex()};d={d.to_hex()}"
+        )
     print("criterion 8: PASS factored gcd equals direct gcd on 10000 quartets, deg <= 256")
 
 

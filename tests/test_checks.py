@@ -15,7 +15,6 @@ DEFAULTS = {
     "recurrence": {"nmax": 5000},
     "delta": {"nmax": 2000},
     "hmp-gcd": {"nmax": 2000, "trials": 1000, "seed": 1},
-    "ore": {"trials": 10000, "seed": 1},
     "oracle": {"nmax": 64},
     "all2": {"kmax": 8},
     "powers": {"amax": 51, "kmax": 17, "degree_cap": 200_000},
@@ -40,7 +39,6 @@ def test_registry_signatures():
         ("delta", {"nmax": 0}),
         ("hmp-gcd", {"nmax": 0}),
         ("hmp-gcd", {"trials": 0}),
-        ("ore", {"trials": 0}),
         ("oracle", {"nmax": 0}),
     ],
 )

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import fibgrid
-from fibgrid import GridSystem, LightState, PolyGF2, checks, cli, fib_hmp, gcd, render, to_pbm
+from fibgrid import GridSystem, LightState, PolyGF2, checks, cli, fib_hmp, render, to_pbm
 from fibgrid.cli import main
 
 
@@ -63,7 +63,7 @@ def test_fib_hex(capsys):
 
 
 def test_fib_bad_index():
-    for argv in (["fib"], ["verify", "ore", "--trials", "1", "--seed"]):
+    for argv in (["fib"], ["verify", "hmp-gcd", "--trials", "1", "--seed"]):
         for bad in ("abc", "-3", "0x10", "1.5", "\u0663", " 3", "1_0"):
             with pytest.raises(SystemExit) as err:
                 main([*argv, bad])
@@ -149,7 +149,6 @@ VERIFY_GOLDEN = {
     ),
     "delta": "delta: ok (two routes agree for n=1..60)\n",
     "hmp-gcd": "hmp-gcd: ok (25 random pairs <= 200, seed 1)\n",
-    "ore": "ore: ok (25 random quartets, degrees <= 256, seed 1)\n",
     "oracle": "oracle: ok (gcd route matches elimination for n=1..8)\n",
     "all2": ALL2_K2,
     "powers": POWERS_A9_K2,
@@ -163,7 +162,6 @@ VERIFY_ALL_GOLDEN = (
     "recurrence delta-range: ok (47 checked)\n"
     "delta: ok (two routes agree for n=1..30)\n"
     "hmp-gcd: ok (20 random pairs <= 30, seed 1)\n"
-    "ore: ok (20 random quartets, degrees <= 256, seed 1)\n"
     "oracle: ok (gcd route matches elimination for n=1..30)\n"
     + ALL2_K2
     + POWERS_A9_K2
@@ -178,7 +176,6 @@ VERIFY_ALL_GOLDEN = (
         ("verify", "recurrence", "--nmax", "60"),
         ("verify", "delta", "--nmax", "60"),
         ("verify", "hmp-gcd", "--trials", "25", "--nmax", "200"),
-        ("verify", "ore", "--trials", "25"),
         ("verify", "oracle", "--nmax", "8"),
         ("verify", "all2", "--kmax", "2"),
         ("verify", "powers", "--amax", "9", "--kmax", "2"),
@@ -208,16 +205,18 @@ def test_verify_all(capsys):
 
 
 def test_verify_seed_changes_draws_not_verdict(capsys):
-    a = run(capsys, "verify", "ore", "--trials", "10", "--seed", "1")
-    b = run(capsys, "verify", "ore", "--trials", "10", "--seed", "2")
+    a = run(capsys, "verify", "hmp-gcd", "--trials", "10", "--seed", "1")
+    b = run(capsys, "verify", "hmp-gcd", "--trials", "10", "--seed", "2")
     assert a[0] == 0 and b[0] == 0
     assert "seed 1" in a[1] and "seed 2" in b[1]
 
 
 def test_verify_unknown_name():
-    with pytest.raises(SystemExit) as err:
-        main(["verify", "nonsense"])
-    assert err.value.code == 2
+    # ore, the product-GCD identity, is a Tier-1 test of the kernels, not a sweep
+    for name in ("nonsense", "ore"):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", name])
+        assert err.value.code == 2
 
 
 @pytest.mark.parametrize(
@@ -226,7 +225,6 @@ def test_verify_unknown_name():
         ("recurrence", "--kmax", "--kmax does not apply; it takes --nmax"),
         ("delta", "--kmax", "--kmax does not apply; it takes --nmax"),
         ("hmp-gcd", "--amax", "--amax does not apply; it takes --nmax, --trials, --seed"),
-        ("ore", "--nmax", "--nmax does not apply; it takes --trials, --seed"),
         ("oracle", "--trials", "--trials does not apply; it takes --nmax"),
         ("all2", "--seed", "--seed does not apply; it takes --kmax"),
         ("powers", "--nmax", "--nmax does not apply; it takes --amax, --kmax, --degree-cap"),
@@ -304,26 +302,6 @@ def test_verify_hmp_gcd_failure(capsys, monkeypatch):
     assert run(capsys, "verify", "hmp-gcd", "--trials", "25", "--nmax", "200") == (
         1,
         f"hmp-gcd: FAIL at m={m};n={n}, expected {want.to_hex()}, got {got.to_hex()}\n",
-        "",
-    )
-
-
-def test_verify_ore_failure(capsys, monkeypatch):
-    rng = random.Random(1)
-
-    def poly():
-        d = rng.randint(0, 256)
-        return PolyGF2(rng.getrandbits(d) | (1 << d))
-
-    quartets = [(poly(), poly(), poly(), poly()) for _ in range(4)]
-    a, b, c, d = quartets[3]
-    want = gcd(a * b, c * d)
-    got = PolyGF2(want.bits << 1)
-    _wrong_on_call(monkeypatch, "ore_product_gcd", 4)
-    params = f"a={a.to_hex()};b={b.to_hex()};c={c.to_hex()};d={d.to_hex()}"
-    assert run(capsys, "verify", "ore", "--trials", "25") == (
-        1,
-        f"ore: FAIL at {params}, expected {want.to_hex()}, got {got.to_hex()}\n",
         "",
     )
 
@@ -687,7 +665,6 @@ def test_stdout_goes_to_devnull_after_a_failed_write():
             ("verify", "powers", "--amax", "2000001", "--degree-cap", "2000000"),
             "verify powers: amax must be <= 30001, got 2000001\n",
         ),
-        (("verify", "ore", "--trials", "100001"), "verify ore: trials must be <= 100000, got 100001\n"),
         (
             ("verify", "hmp-gcd", "--trials", "100001"),
             "verify hmp-gcd: trials must be <= 100000, got 100001\n",
@@ -746,7 +723,6 @@ def test_a_4300_digit_seed_still_runs(capsys):
         ("verify", "delta", "--nmax", "30000"),
         ("verify", "powers", "--amax", "30001", "--degree-cap", "2000000"),
         ("verify", "all", "--amax", "30001"),
-        ("verify", "ore", "--trials", "100000"),
         ("verify", "hmp-gcd", "--trials", "100000"),
         ("verify", "all", "--trials", "100000"),
     ],

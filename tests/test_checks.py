@@ -39,6 +39,7 @@ def test_registry_signatures():
         ("delta", {"nmax": 0}),
         ("hmp-gcd", {"nmax": 0}),
         ("hmp-gcd", {"trials": 0}),
+        ("recurrence", {"nmax": 0}),
         ("oracle", {"nmax": 0}),
     ],
 )

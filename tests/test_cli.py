@@ -176,6 +176,8 @@ VERIFY_ALL_GOLDEN = (
         ("verify", "recurrence", "--nmax", "60"),
         ("verify", "delta", "--nmax", "60"),
         ("verify", "hmp-gcd", "--trials", "25", "--nmax", "200"),
+        # --seed 1 spelled out draws what the default draws
+        ("verify", "hmp-gcd", "--trials", "25", "--nmax", "200", "--seed", "1"),
         ("verify", "oracle", "--nmax", "8"),
         ("verify", "all2", "--kmax", "2"),
         ("verify", "powers", "--amax", "9", "--kmax", "2"),
@@ -666,6 +668,10 @@ def test_stdout_goes_to_devnull_after_a_failed_write():
             "verify powers: amax must be <= 30001, got 2000001\n",
         ),
         (
+            ("verify", "hmp-gcd", "--trials", "9" * 30),
+            f"verify hmp-gcd: trials must be <= 100000, got {'9' * 30}\n",
+        ),
+        (
             ("verify", "hmp-gcd", "--trials", "100001"),
             "verify hmp-gcd: trials must be <= 100000, got 100001\n",
         ),
@@ -723,6 +729,7 @@ def test_a_4300_digit_seed_still_runs(capsys):
         ("verify", "delta", "--nmax", "30000"),
         ("verify", "powers", "--amax", "30001", "--degree-cap", "2000000"),
         ("verify", "all", "--amax", "30001"),
+        ("verify", "hmp-gcd", "--nmax", "1000000", "--trials", "100000"),
         ("verify", "hmp-gcd", "--trials", "100000"),
         ("verify", "all", "--trials", "100000"),
     ],

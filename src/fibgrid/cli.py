@@ -31,7 +31,7 @@ EXIT_USAGE = 2
 # d's GCD runs in GF(2)[x^2 + x] at half the degree of
 # f_{n+1}'s odd part and is still quadratic, 3.1-3.7 s at 2,000,000 on a
 # shared 2-core machine.  fib builds f_n by the linear ladder, but
-# --all-methods also runs the quadratic recurrence, about 25 s at 1,000,000.
+# --all-methods also runs the quadratic recurrence, 18-21 s at 1,000,000.
 # table runs one GCD per odd part of n + 1, 6.9-9.2 s at 30,000.  A raster of ROWS rows
 # prints 2*ROWS^2 characters, 32 MiB at 4096 (85 MiB process peak).  A verify sweep's
 # flag has the limit of the command building the same objects: fib for

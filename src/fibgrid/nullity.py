@@ -8,13 +8,13 @@ delta_n = d_{2n+1} - 2 d_n is always 0 or 2 and has both a closed form
 f_{n+1}(x+1); both are provided, and the sweeps in checks tie everything
 together.
 
-Every f_m is built in the basis {1, x} of GF(2)[x] over GF(2)[y],
-y = x^2 + x, as f_m = A_m(y) + x B_m(y), and never in x: _y_pair runs the
-doubling ladder on (A, B) pairs.  y is fixed by x -> x+1, so for
-p = A(y) + x B(y), deg gcd(p(x), p(x+1)) = 2 deg gcd(A, B), one Euclid at
-half the degree of p (_gcd_degree).  d_of_n takes it on a factor h of f_{n+1}
-at half the degree of the odd part b of n + 1, after two number-theory steps
-sharing one ord(2) helper (_order_of_2): _reduce_odd_part lowers each
+Every f_m is built in the basis {1, x} of GF(2)[x] over GF(2)[y], y = x^2 + x,
+as f_m = A_m(y) + x B_m(y), and never in x: fibpoly's _y_pair, which fib_hmp
+reads too, runs the doubling ladder on (A, B) pairs.  y is fixed by x -> x+1,
+so for p = A(y) + x B(y), deg gcd(p(x), p(x+1)) = 2 deg gcd(A, B), one Euclid
+at half the degree of p (_gcd_degree).  d_of_n takes it on a factor h of
+f_{n+1} at half the degree of the odd part b of n + 1, after two number-theory
+steps sharing one ord(2) helper (_order_of_2): _reduce_odd_part lowers each
 exponent e_p of b to min(e_p, c_p), caps set by b's primes alone, keeping the
 GCD's degree, and on the b* it reaches Euclid is skipped if _gcd_is_trivial,
 from b* alone, finds a prime with 2 generating (Z/b*)*/{+-1}.  One helper
@@ -34,7 +34,8 @@ import math
 from collections import namedtuple
 from collections.abc import Callable, Iterable
 
-from .polygf2 import _gcd_bits, _square_bits
+from .fibpoly import _y_pair
+from .polygf2 import _gcd_bits
 
 __all__ = [
     "NullityRecord",
@@ -60,26 +61,6 @@ def _gcd_degree(a: int, b: int) -> int:
     x-degree is twice its y-degree.
     """
     return 2 * (_gcd_bits(a, b).bit_length() - 1)
-
-
-def _y_pair(m: int) -> tuple[int, int, int, int]:
-    """(A_m, B_m, A_{m+1}, B_{m+1}) with f_j = A_j(y) + x B_j(y), y = x^2 + x, m >= 0.
-
-    The doubling ladder f_{2j} = x f_j^2, f_{2j+1} = f_j^2 + f_{j+1}^2, run
-    on (A, B) pairs.  With x^2 = x + y, squaring is
-    (A + x B)^2 = (A^2 + y B^2) + x B^2, with A^2 and B^2 squared in y, and
-    multiplying by x is x (A + x B) = y B + x (A + B).
-    """
-    a0, b0, a1, b1 = 0, 0, 1, 0  # f_0, f_1
-    for bit in bin(m)[2:]:
-        b0, b1 = _square_bits(b0), _square_bits(b1)
-        a0, a1 = _square_bits(a0) ^ (b0 << 1), _square_bits(a1) ^ (b1 << 1)
-        # (a0, b0) is now f_j^2 and (a1, b1) is f_{j+1}^2
-        if bit == "1":
-            a0, b0, a1, b1 = a0 ^ a1, b0 ^ b1, b1 << 1, a1 ^ b1
-        else:
-            a0, b0, a1, b1 = b0 << 1, a0 ^ b0, a0 ^ a1, b0 ^ b1
-    return a0, b0, a1, b1
 
 
 def _factor(m: int) -> dict[int, int]:

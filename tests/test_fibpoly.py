@@ -54,6 +54,9 @@ def test_three_routes_agree_to_300():
     for n, f in enumerate(fib_sequence(300)):
         assert fib_binomial(n) == f, f"binomial disagrees at n={n}"
         assert fib_hmp(n) == f, f"ladder disagrees at n={n}"
+    # y-parts past 20,000 bits, and one ladder step past 2^16
+    for n in (40_001, 65_537):
+        assert fib_hmp(n) == fib_binomial(n), f"ladder disagrees at n={n}"
 
 
 def test_degree_and_monic():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
@@ -16,7 +17,7 @@ from fibgrid import (
     delta_closed_form,
     delta_via_gcd,
     fib_binomial,
-    fib_hmp,
+    fib_sequence,
     format_csv,
     gcd,
     subst_x_plus_1,
@@ -24,6 +25,7 @@ from fibgrid import (
 )
 from fibgrid import nullity
 from fibgrid.checks import all2, powers, recurrence
+from fibgrid.fibpoly import _fold_to_x
 from fibgrid.nullity import (
     _LADDER_GAP,
     _cap,
@@ -36,7 +38,7 @@ from fibgrid.nullity import (
     _reduce_odd_part,
     _y_pair,
 )
-from fibgrid.polygf2 import _mul_bits
+from fibgrid.polygf2 import _mul_bits, _square_bits
 from ybasis import join
 
 polys = st.binary(max_size=128).map(lambda b: PolyGF2(int.from_bytes(b, "little")))
@@ -70,6 +72,12 @@ def test_y_pair_matches_the_binomial_form():
 @given(st.integers(0, 30_000))
 def test_y_pair_matches_the_binomial_form_property(m):
     _check_y_pair(m, fib_binomial(m).bits, fib_binomial(m + 1).bits)
+
+
+@given(y_polys, y_polys)
+def test_fold_carries_y_parts_up_to_x(a, b):
+    # the fold that fib_hmp applies to the ladder's y-parts, against Horner's rule
+    assert _fold_to_x(_square_bits(a) ^ (_square_bits(b) << 1)) == join(a, b)
 
 
 @given(y_polys, y_polys, y_polys.filter(bool))
@@ -540,8 +548,8 @@ def test_branch_multiplicities_vanish_together():
     # the x branch of f_{n+1}(x+1) are trivial for exactly the same n; a
     # degree-one factor divides iff the matching evaluation vanishes
     x = PolyGF2(2)
-    for n in range(1, 2001):
-        f = fib_hmp(n + 1)
+    # f_{n+1} from the recurrence: delta_via_gcd and _d_and_delta run the ladder
+    for n, f in enumerate(itertools.islice(fib_sequence(2001), 2, None), start=1):
         fs = subst_x_plus_1(f)
         g = gcd(f, fs)
         q1 = divmod(f, g)[0]

@@ -1,7 +1,8 @@
 """The tests' own ascent from the basis {1, x} over GF(2)[y] to x, y = x^2 + x.
 
-It shares no code with the ladder or the recurrence that build y-parts in
-fibgrid.nullity: each byte of p is ascended by Horner's rule in y, and the
+It shares no code with the ladder (fibgrid.fibpoly) or the recurrence
+(fibgrid.nullity) that build y-parts, nor with the fold that fib_hmp carries
+them up to x by: each byte of p is ascended by Horner's rule in y, and the
 bytes are joined by Horner's rule in y^8 = x^16 + x^8 (Frobenius).
 """
 

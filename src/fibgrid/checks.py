@@ -11,12 +11,12 @@ Which route each sweep reads: d_of_n, the factored fast route, is checked by
 at the line operator with no polygf2 kernel, GCD, ladder or y-basis; `all2`
 tests d_of_n, and `powers` the same route from the reduced odd parts b* on,
 all in one call to _odd_degrees, the helper that builds h for d_of_n.
-`recurrence`, `delta` and `equivalence` check identities that this route uses
-to factor f_{n+1}, so they never read it: `recurrence` and `equivalence` read
-`_d_and_delta`, and `delta` reads `delta_via_gcd`, which build the unreduced
-f_{n+1} as A(y) + x B(y), y = x^2 + x.  d comes from gcd(A, B), resting on that
-basis and on no doubling identity of d, and delta from whether A and B have
-the same y-adic valuation, with no Euclid and not from the mod-3 closed form.
+`recurrence` and `delta` check identities that this route uses to factor
+f_{n+1}, so they never read it: `recurrence` reads `_d_and_delta`, and
+`delta` reads `delta_via_gcd`, which build the unreduced f_{n+1} as
+A(y) + x B(y), y = x^2 + x.  d comes from gcd(A, B), resting on that basis
+and on no doubling identity of d, and delta from whether A and B have the
+same y-adic valuation, with no Euclid and not from the mod-3 closed form.
 
 Two kinds of report share one type.  A conjecture check (scope None) keeps
 every case and renders as a per-case table.  A range sweep sets scope to a
@@ -172,8 +172,8 @@ def all2(*, kmax: int = 8) -> list[Report]:
     _reduce_odd_part takes down to 3 with the same GCD degree, and there
     _gcd_is_trivial proves gcd(h, h(x+1)) = 1, so d = 2 for every k; h for
     b* = 3 is one recurrence step from f_0, with no ladder.  The
-    independent checks are `equivalence`, which takes d_{2*3^k - 1} by Euclid
-    on the unreduced f_{n+1} (k <= 8 by default), and `oracle`, by light
+    independent checks are a Tier-1 test, which takes d_{2*3^k - 1} by
+    Euclid on the unreduced f_{n+1} for k <= 8, and `oracle`, by light
     chasing (n = 5, 17 and 53 under its default nmax).
     """
     _require("kmax", kmax)
@@ -235,27 +235,6 @@ def powers(*, amax: int = 51, kmax: int = 17, degree_cap: int = 200_000) -> list
     return [Report("powers", tuple(cases))]
 
 
-def equivalence(*, kmax: int = 8) -> list[Report]:
-    """Linkage at a = 3: d(2*3^k - 1) = 2 d(3^k - 1) + delta(3^k - 1), delta being 2.
-
-    Each k contributes a "link" case comparing the measured d(2*3^k - 1)
-    against the combination, and a "delta" case pinning delta(3^k - 1) = 2.
-    Every value comes from _d_and_delta on the unreduced f_{n+1}: d_of_n
-    builds the identity into its factored form, so it would check nothing
-    here.
-    """
-    _require("kmax", kmax)
-    cases = []
-    power = 1
-    for k in range(1, kmax + 1):
-        power *= 3
-        dm, em = _d_and_delta(power - 1)
-        lhs = _d_and_delta(2 * power - 1)[0]
-        cases.append(Case(f"k={k};part=link", 2 * dm + em, lhs))
-        cases.append(Case(f"k={k};part=delta", 2, em))
-    return [Report("equivalence", tuple(cases))]
-
-
 SWEEPS = {
     "recurrence": recurrence,
     "delta": delta,
@@ -263,7 +242,6 @@ SWEEPS = {
     "oracle": oracle,
     "all2": all2,
     "powers": powers,
-    "equivalence": equivalence,
 }
 
 

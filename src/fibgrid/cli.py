@@ -24,10 +24,12 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-# command -> {argument: largest accepted value}.  At grid side 2000 oracle
-# takes 0.24-0.39 s and 19 MiB, solve 0.28-0.42 s and 34 MiB, and side 1983
-# (nullity 1280) no longer.  The 0.93 GiB of 2000 vectors of 2000^2 bits is the
-# library's kernel_basis(), which no command calls.
+# command -> {argument: largest accepted value}.  oracle eliminates one residue
+# matrix of side n: 8.1-8.4 s and 95 MiB in a fresh process at 8190 (nullity
+# 4004) on a shared 2-core machine, 1.2-1.3 s at 4094.  solve keeps 2000, where
+# it takes 0.28-0.42 s and 34 MiB, as its chases and board text grow as n^2.
+# The 0.93 GiB of 2000 vectors of 2000^2 bits is the library's kernel_basis(),
+# which no command calls.
 # d's GCD runs in GF(2)[x^2 + x] at half the degree of
 # f_{n+1}'s odd part and is still quadratic, 3.1-3.7 s at 2,000,000 on a
 # shared 2-core machine.  fib builds f_n by the linear ladder, but
@@ -35,17 +37,18 @@ EXIT_USAGE = 2
 # table runs one GCD per odd part of n + 1, 6.9-9.2 s at 30,000.  A raster of ROWS rows
 # prints 2*ROWS^2 characters, 32 MiB at 4096 (85 MiB process peak).  A verify sweep's
 # flag has the limit of the command building the same objects: fib for
-# hmp-gcd, oracle for oracle, d for all2 and equivalence (2*3^12 - 1 =
-# 1,062,881) and powers, table for recurrence (up to d_{2 nmax + 3}) and the
-# powers bases d(a - 1).  delta runs one ladder per n and no GCD, about 3.5 s
-# at 30,000.  A verify limit bounds each object a sweep builds, not the sweep.
+# hmp-gcd, solve for oracle, which builds every side up to nmax, d for all2
+# (2*3^12 - 1 = 1,062,881) and powers, table for recurrence (up to
+# d_{2 nmax + 3}) and the powers bases d(a - 1).  delta runs one ladder per n
+# and no GCD, about 3.5 s at 30,000.  A verify limit bounds each object a sweep
+# builds, not the sweep.
 # A verify flag that the named sweep does not take is refused.
 _LIMITS = {
     "fib": {"n": 1_000_000},
     "d": {"n": 2_000_000},
     "table": {"n_max": 30_000},
     "solve": {"n": 2000},
-    "oracle": {"n": 2000},
+    "oracle": {"n": 8190},
     "sierpinski": {"rows": 4096},
     "verify recurrence": {"nmax": 14_999},
     "verify delta": {"nmax": 30_000},
@@ -53,7 +56,6 @@ _LIMITS = {
     "verify oracle": {"nmax": 2000},
     "verify all2": {"kmax": 12},
     "verify powers": {"degree_cap": 2_000_000, "amax": 30_001},
-    "verify equivalence": {"kmax": 12},
 }
 
 # the bounds each sweep takes, keyword-only with defaults; verify's flags are their union

@@ -22,8 +22,8 @@ builds h for the b* of d_of_n, table and `powers` alike (_odd_degrees): it
 steps the y-parts by the defining recurrence from one b* to the next, and
 jumps by the ladder only across a gap of more than _LADDER_GAP steps.
 _d_and_delta takes it on the unreduced f_{n+1}, always by Euclid; it is the
-reference that the identity sweeps (recurrence, equivalence) read, because
-d_of_n's factoring rests on those same identities and the basis does not.
+reference that the `recurrence` sweep reads, because d_of_n's factoring
+rests on the identities it checks and the basis does not.
 delta_n needs no Euclid: it is read off the y-adic valuations of A and B
 (_valuation_delta), by delta_via_gcd and _d_and_delta alike.
 """

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,7 +20,6 @@ DEFAULTS = {
     "oracle": {"nmax": 64},
     "all2": {"kmax": 8},
     "powers": {"amax": 51, "kmax": 17, "degree_cap": 200_000},
-    "equivalence": {"kmax": 8},
 }
 
 
@@ -73,7 +74,7 @@ def test_identity_sweeps_never_read_the_factored_route(monkeypatch):
     monkeypatch.setattr(nullity, "_reduce_odd_part", refuse_reduction)
     with pytest.raises(AssertionError, match="_reduce_odd_part"):
         nullity.d_of_n(8)
-    reports = [*checks.recurrence(nmax=40), *checks.delta(nmax=40), *checks.equivalence(kmax=3)]
+    reports = [*checks.recurrence(nmax=40), *checks.delta(nmax=40)]
     assert all(r.overall == "pass" for r in reports)
 
 
@@ -176,3 +177,15 @@ def test_delta_runs_no_euclid(monkeypatch):
     (report,) = checks.delta(nmax=200)
     assert report.overall == "pass"
     assert [delta_via_gcd(n) for n in (3247, 3248, 3249)] == [0, 2, 0]
+
+
+@pytest.mark.slow
+def test_mutation_matrix_verify_column():
+    # tests/mutants.py on two mutants, `verify all` only, against the committed
+    # matrix: recurrence catches the _valuation_delta mutant, and no sweep
+    # reaches _subst_bits.  `python tests/mutants.py --check` runs every mutant
+    # and Tier-1 too, about 8.5 minutes
+    script = Path(__file__).parent / "mutants.py"
+    argv = [sys.executable, str(script), "--check", "--verify-only", "valuation-3000", "subst-3000"]
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -130,15 +130,6 @@ POWERS_A9_K2 = """\
 result: pass, verified for the tested range (8 cases)
 """
 
-EQUIVALENCE_K2 = """\
-== equivalence ==
-  k=1;part=link   expected=2    computed=2    pass
-  k=1;part=delta  expected=2    computed=2    pass
-  k=2;part=link   expected=2    computed=2    pass
-  k=2;part=delta  expected=2    computed=2    pass
-result: pass, verified for the tested range (4 cases)
-"""
-
 # exact stdout of each sweep at the bounds test_verify_sweeps_pass passes
 VERIFY_GOLDEN = {
     "recurrence": (
@@ -152,7 +143,6 @@ VERIFY_GOLDEN = {
     "oracle": "oracle: ok (gcd route matches elimination for n=1..8)\n",
     "all2": ALL2_K2,
     "powers": POWERS_A9_K2,
-    "equivalence": EQUIVALENCE_K2,
 }
 
 VERIFY_ALL_GOLDEN = (
@@ -165,7 +155,6 @@ VERIFY_ALL_GOLDEN = (
     "oracle: ok (gcd route matches elimination for n=1..30)\n"
     + ALL2_K2
     + POWERS_A9_K2
-    + EQUIVALENCE_K2
     + "verify: all checks passed\n"
 )
 
@@ -181,7 +170,8 @@ VERIFY_ALL_GOLDEN = (
         ("verify", "oracle", "--nmax", "8"),
         ("verify", "all2", "--kmax", "2"),
         ("verify", "powers", "--amax", "9", "--kmax", "2"),
-        ("verify", "equivalence", "--kmax", "2"),
+        # the same bounds in the other order print the same report
+        ("verify", "powers", "--kmax", "2", "--amax", "9"),
     ],
 )
 def test_verify_sweeps_pass(capsys, argv):
@@ -214,8 +204,10 @@ def test_verify_seed_changes_draws_not_verdict(capsys):
 
 
 def test_verify_unknown_name():
-    # ore, the product-GCD identity, is a Tier-1 test of the kernels, not a sweep
-    for name in ("nonsense", "ore"):
+    # ore, the product-GCD identity, is a Tier-1 test of the kernels, not a
+    # sweep; equivalence restated the proved d_{2n+1} = 2 d_n + delta_n at
+    # n = 3^k - 1, which recurrence checks, and its last points are Tier-1's
+    for name in ("nonsense", "ore", "equivalence"):
         with pytest.raises(SystemExit) as err:
             main(["verify", name])
         assert err.value.code == 2
@@ -230,7 +222,6 @@ def test_verify_unknown_name():
         ("oracle", "--trials", "--trials does not apply; it takes --nmax"),
         ("all2", "--seed", "--seed does not apply; it takes --kmax"),
         ("powers", "--nmax", "--nmax does not apply; it takes --amax, --kmax, --degree-cap"),
-        ("equivalence", "--degree-cap", "--degree-cap does not apply; it takes --kmax"),
     ],
 )
 def test_verify_refuses_a_flag_the_sweep_does_not_take(capsys, monkeypatch, name, flag, message):
@@ -538,6 +529,19 @@ def test_oracle_line(capsys):
     assert run(capsys, "oracle", "1") == (0, "n=1 nullity=0\n", "")
 
 
+def test_oracle_accepts_its_limit(capsys, monkeypatch):
+    # the chase itself runs at 8190 in the slow tier, 8-11 s
+    class Counted:
+        def __init__(self, n):
+            self.n = n
+
+        def nullity(self):
+            return self.n // 2
+
+    monkeypatch.setattr(cli, "GridSystem", Counted)
+    assert run(capsys, "oracle", "8190") == (0, "n=8190 nullity=4095\n", "")
+
+
 # -- standard output failures -------------------------------------------------------
 
 
@@ -629,8 +633,8 @@ def test_stdout_goes_to_devnull_after_a_failed_write():
         (("d", "2000001"), "d: n must be <= 2000000, got 2000001\n"),
         (("solve", "2001", "--all-ones"), "solve: n must be <= 2000, got 2001\n"),
         (("solve", "2001", "--state", "/nonexistent"), "solve: n must be <= 2000, got 2001\n"),
-        (("oracle", "2001"), "oracle: n must be <= 2000, got 2001\n"),
-        (("oracle", "9" * 30), f"oracle: n must be <= 2000, got {'9' * 30}\n"),
+        (("oracle", "8191"), "oracle: n must be <= 8190, got 8191\n"),
+        (("oracle", "9" * 30), f"oracle: n must be <= 8190, got {'9' * 30}\n"),
         (("sierpinski", "4097"), "sierpinski: rows must be <= 4096, got 4097\n"),
         (("fib", "1000001"), "fib: n must be <= 1000000, got 1000001\n"),
         (("fib", "1000001", "--all-methods"), "fib: n must be <= 1000000, got 1000001\n"),
@@ -642,10 +646,8 @@ def test_stdout_goes_to_devnull_after_a_failed_write():
         ),
         (("verify", "oracle", "--nmax", "2001"), "verify oracle: nmax must be <= 2000, got 2001\n"),
         (("verify", "all2", "--kmax", "13"), "verify all2: kmax must be <= 12, got 13\n"),
-        (
-            ("verify", "equivalence", "--kmax", "13"),
-            "verify equivalence: kmax must be <= 12, got 13\n",
-        ),
+        # solve keeps its own limit below oracle's
+        (("solve", "8190", "--all-ones"), "solve: n must be <= 2000, got 8190\n"),
         (
             ("verify", "powers", "--degree-cap", "2000001"),
             "verify powers: degree_cap must be <= 2000000, got 2000001\n",
@@ -722,7 +724,7 @@ def test_a_4300_digit_seed_still_runs(capsys):
         ("verify", "all2", "--kmax", "12"),
         ("verify", "powers", "--degree-cap", "1000000"),
         ("verify", "powers", "--degree-cap", "2000000"),
-        ("verify", "equivalence", "--kmax", "12"),
+        ("verify", "all", "--kmax", "12"),
         ("verify", "hmp-gcd", "--nmax", "1000000"),
         ("verify", "oracle", "--nmax", "2000"),
         ("verify", "recurrence", "--nmax", "14999"),

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from fibgrid import SWEEPS, Case, PolyGF2, Report, to_text
-from fibgrid.checks import all2, equivalence, powers
+from fibgrid.checks import all2, powers
 
 
 def test_all2_small():
@@ -38,17 +38,10 @@ def test_powers_degree_cap_and_exclusions():
     assert [c.params for c in capped.cases] == ["a=3;k=1;n=2", "a=5;k=1;n=4", "a=7;k=1;n=6"]
 
 
-def test_equivalence_small():
-    (report,) = equivalence(kmax=3)
-    assert report.overall == "pass"
-    assert len(report.cases) == 6
-    deltas = [c for c in report.cases if c.params.endswith("part=delta")]
-    assert all(c.expected == 2 for c in deltas)
-
-
 def test_all2_and_base_three_powers_co_occur():
-    # the equivalence ties d(2*3^k - 1) = 2 to d(3^k - 1) = d_2 = 0, so over a
-    # shared range the two checks must stand or fall together
+    # d(2*3^k - 1) = 2 d(3^k - 1) + delta(3^k - 1) ties d(2*3^k - 1) = 2 to
+    # d(3^k - 1) = d_2 = 0, so over a shared range the two checks must stand
+    # or fall together
     k_max = 6
     (two,) = all2(kmax=k_max)
     (base_three,) = powers(amax=3, kmax=k_max)
@@ -60,7 +53,6 @@ def test_all2_and_base_three_powers_co_occur():
 def test_reports_are_reproducible():
     assert all2(kmax=2) == all2(kmax=2)
     assert powers(amax=9, kmax=2) == powers(amax=9, kmax=2)
-    assert equivalence(kmax=2) == equivalence(kmax=2)
 
 
 def test_overall_verdict_logic():
@@ -100,6 +92,4 @@ def test_validation():
         powers(amax=9, kmax=0)
     with pytest.raises(ValueError):
         powers(amax=9, kmax=1, degree_cap=2)
-    with pytest.raises(ValueError):
-        equivalence(kmax=0)
     assert SWEEPS["powers"].__kwdefaults__["degree_cap"] == 200_000

@@ -25,6 +25,7 @@ from fibgrid import (
 )
 from fibgrid import nullity
 from fibgrid.checks import all2, powers, recurrence
+from fibgrid.cli import main
 from fibgrid.fibpoly import _fold_to_x
 from fibgrid.nullity import (
     _LADDER_GAP,
@@ -571,3 +572,58 @@ def test_oracle_agreement_extended():
     # the GCD route from outside; d_128 = 56, and 1457 = 2*3^6 - 1 has d = 2
     for n in [*range(1, 301), 511, 512, 1000, 1457, 2000]:
         assert d_of_n(n) == GridSystem(n).nullity(), f"n={n}"
+
+
+def test_three_power_links_past_the_sweeps():
+    # all2's d_{2*3^k - 1} = 2 and the link d_{2n+1} = 2 d_n + delta_n at
+    # n = 3^k - 1, all by Euclid on the unreduced f_{n+1}.  recurrence's
+    # double-d covers the link for k <= 7 (n <= 5000) and the delta sweep
+    # delta_{3^k - 1} = 2 for k <= 6 (n <= 2000); k = 7 and 8 are checked here
+    assert [_d_and_delta(2 * 3**k - 1)[0] for k in range(1, 9)] == [2] * 8
+    d8, delta8 = _d_and_delta(3**8 - 1)
+    assert _d_and_delta(2 * 3**8 - 1)[0] == 2 * d8 + delta8
+    assert _d_and_delta(3**7 - 1)[1] == delta8 == 2
+
+
+def _closed_form_d(o: int) -> tuple[int, int]:
+    """(d_{2^o - 2}, d_{2^o}) by counting points on E: y^2 + xy = x^3 + 1 over GF(2^o).
+
+    Pure int arithmetic, sharing no code with any route to d.  For
+    b = 2^o - 1 the roots of h_b (f_b = h_b^2) are the x != 0 of GF(2^o)
+    with Tr(1/x) = 0, so D(b), the count of roots a with a + 1 a root too,
+    expands in the characters (-1)^Tr.  Its cross term is -1 + K for the
+    Kloosterman sum K = sum over y != 0 of (-1)^Tr(y + 1/y), and
+    #E(GF(2^o)) = 2^o + 1 + K.  E has 4 points over GF(2), so K = -a_o with
+    a_0 = 2, a_1 = -1 and a_{o+1} = -a_o - 2 a_{o-1}, and d_{2^o - 2} = 2 D(b).
+    For b = 2^o + 1 the roots are the x with Tr(1/x) = 1.  ROADMAP.md gives
+    the proof in full, in its item on closed forms at n + 1 = 2^j (2^o +- 1).
+    """
+    a_prev, a = 2, -1  # a_0, a_1
+    for _ in range(o):
+        a_prev, a = a, -a - 2 * a_prev
+    sign = (-1) ** o
+    return (2**o - 5 - 2 * sign - a_prev) // 2, (2**o - 1 + 2 * sign - a_prev) // 2
+
+
+def test_closed_forms_at_two_to_the_o():
+    for o in range(2, 19):
+        minus, plus = _closed_form_d(o)
+        assert (d_of_n(2**o - 2), d_of_n(2**o)) == (minus, plus), f"o={o}"
+
+
+@pytest.mark.slow
+def test_closed_forms_at_two_to_the_o_extended():
+    for o in (19, 20):
+        assert (d_of_n(2**o - 2), d_of_n(2**o)) == _closed_form_d(o), f"o={o}"
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("o,d", [(12, 2068), (13, 4004)])
+def test_light_chasing_at_two_to_the_o_minus_2(capsys, o, d):
+    # oracle prints GridSystem(n).nullity(); its limit is 8190 = 2^13 - 2, 8-11 s
+    # and 95 MiB there.  Light chasing shares no code with d_of_n or with the
+    # closed form
+    n = 2**o - 2
+    assert main(["oracle", str(n)]) == 0
+    assert capsys.readouterr().out == f"n={n} nullity={d}\n"
+    assert d_of_n(n) == _closed_form_d(o)[0] == d
